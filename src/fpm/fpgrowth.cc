@@ -14,6 +14,11 @@ namespace gogreen::fpm {
 
 namespace {
 
+/// Longest single path enumerated by subset mask (2^k - 1 patterns).
+constexpr size_t kMaxSinglePath = 40;
+/// The mask enumeration polls the governor once per this mask + 1 subsets.
+constexpr uint64_t kSinglePathPollMask = 1023;
+
 /// One FP-tree node. Children form a singly linked sibling list; `next`
 /// threads all nodes of the same rank for the header table.
 struct FpNode {
@@ -110,10 +115,11 @@ class FpGrowthContext {
             std::vector<Rank>* prefix) {
     if (tree.empty()) return true;
 
+    // A path too long to enumerate by mask takes the header loop below,
+    // whose conditional trees are shorter paths.
     const std::vector<const FpNode*> path = tree.SinglePath();
-    if (!path.empty()) {
-      EmitSinglePathCombinations(path, to_global, prefix);
-      return true;
+    if (!path.empty() && path.size() < kMaxSinglePath) {
+      return EmitSinglePathCombinations(path, to_global, prefix);
     }
 
     // Header processed in ascending local-rank order (lowest support first),
@@ -188,12 +194,19 @@ class FpGrowthContext {
  private:
   /// A single-path tree of k nodes encodes 2^k - 1 patterns: any non-empty
   /// subset of the path, supported by the count of its deepest node.
-  void EmitSinglePathCombinations(const std::vector<const FpNode*>& path,
+  /// Polls the governor every kSinglePathPollMask + 1 subsets, since 2^k
+  /// outgrows any deadline long before k reaches kMaxSinglePath. Returns
+  /// false iff a governed stop abandoned the enumeration.
+  bool EmitSinglePathCombinations(const std::vector<const FpNode*>& path,
                                   const std::vector<Rank>& to_global,
                                   std::vector<Rank>* prefix) {
     const size_t k = path.size();
-    GOGREEN_CHECK_LT(k, size_t{40});  // Combination explosion guard.
+    GOGREEN_DCHECK_LT(k, kMaxSinglePath);
     for (uint64_t mask = 1; mask < (uint64_t{1} << k); ++mask) {
+      if ((mask & kSinglePathPollMask) == 0 && run_ctx_ != nullptr &&
+          run_ctx_->ShouldStop()) {
+        return false;
+      }
       uint64_t support = 0;
       size_t added = 0;
       for (size_t i = 0; i < k; ++i) {
@@ -206,6 +219,7 @@ class FpGrowthContext {
       if (support >= min_support_) EmitPattern(*prefix, support);
       for (size_t i = 0; i < added; ++i) prefix->pop_back();
     }
+    return true;
   }
 
   void EmitPattern(const std::vector<Rank>& ranks, uint64_t support) {
@@ -288,6 +302,42 @@ check::FpTreeView DebugFpTreeView(const TransactionDb& db,
   return ToFpTreeView(tree);
 }
 
+bool MineRankRowsFP(const std::vector<std::span<const Rank>>& rows,
+                    const std::vector<Rank>& frequent, const FList& flist,
+                    uint64_t min_support, std::vector<Rank>* prefix,
+                    PatternSet* out, MiningStats* stats,
+                    RunContext* run_ctx) {
+  if (frequent.empty()) return true;
+  // `frequent` is the local rank space: ascending, so local order stays
+  // consistent with F-list order.
+  std::vector<Rank> to_local(flist.size(), kNoRank);
+  for (size_t i = 0; i < frequent.size(); ++i) {
+    to_local[frequent[i]] = static_cast<Rank>(i);
+  }
+
+  FpTree tree(frequent.size());
+  std::vector<Rank> desc;
+  for (const std::span<const Rank> row : rows) {
+    // Rows are rank-ascending; tree paths want rank-descending.
+    desc.clear();
+    for (auto it = row.rbegin(); it != row.rend(); ++it) {
+      if (to_local[*it] != kNoRank) desc.push_back(to_local[*it]);
+    }
+    tree.InsertPath(desc, 1);
+  }
+  ++stats->projections_built;
+  if (check::ValidationEnabled()) {
+    GOGREEN_VALIDATE_OR_DIE(
+        check::ValidateFpTree(ToFpTreeView(tree), min_support));
+  }
+
+  const ScopedBytes charge(run_ctx,
+                           run_ctx != nullptr ? tree.MemoryUsage() : 0);
+  FpGrowthContext ctx(flist, min_support, out, stats);
+  ctx.BindRunContext(run_ctx);
+  return ctx.Mine(tree, frequent, prefix);
+}
+
 Result<PatternSet> FpGrowthMiner::Mine(const TransactionDb& db,
                                        uint64_t min_support) {
   GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
@@ -353,7 +403,15 @@ Result<PatternSet> FpGrowthMiner::Mine(const TransactionDb& db,
       std::vector<Rank> prefix;
       FpGrowthContext ctx(flist, min_support, &out, &stats_);
       ctx.BindRunContext(run_ctx_);
-      ctx.Mine(tree, identity, &prefix);
+      if (!ctx.Mine(tree, identity, &prefix) && run_ctx_ != nullptr) {
+        // A governed stop inside a single-path root: no support level is
+        // known complete, so the frontier sits above every item.
+        uint64_t top = 0;
+        for (Rank r = 0; r < flist.size(); ++r) {
+          top = std::max(top, tree.HeaderCount(r));
+        }
+        run_ctx_->MarkIncomplete(top + 1);
+      }
     }
   }
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "fpm/flist.h"
+#include "fpm/fpgrowth.h"
 #include "fpm/parallel_mine.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -28,6 +30,12 @@ size_t AllBucketBytes(const std::vector<uint64_t>& freq_counts) {
   for (uint64_t c : freq_counts) total += c;
   return static_cast<size_t>(total) * sizeof(Suffix);
 }
+
+/// Row floor of the dense switch (HMineContext::IsDense). Below it a
+/// projection is cheap to thread whatever its fill, and building a tree
+/// costs more than it saves: without the floor, weather-sub at 1% mined
+/// about 35% slower (DESIGN.md §7).
+constexpr size_t kDenseMinRows = 512;
 
 /// RowSource concept: Transaction(Tid) -> span of ranks, ascending.
 template <typename RowSource>
@@ -56,14 +64,74 @@ class HMineContext {
 
   /// One level of H-Mine: counts candidate extensions of `projs` and threads
   /// the suffix links of the frequent ones. Two passes, as in the paper:
-  /// pass 1 counts, pass 2 builds the per-extension suffix queues (the
-  /// hyperlinks). On return `frequent` holds the frequent extension ranks
-  /// ascending, `freq_counts[i]` their supports, `buckets[i]` their
-  /// projected databases.
+  /// pass 1 counts (Count), pass 2 builds the per-extension suffix queues,
+  /// the hyperlinks (Thread). On return `frequent` holds the frequent
+  /// extension ranks ascending, `freq_counts[i]` their supports, `buckets[i]`
+  /// their projected databases.
   void Expand(const std::vector<Suffix>& projs, std::vector<Rank>* frequent,
               std::vector<uint64_t>* freq_counts,
               std::vector<std::vector<Suffix>>* buckets) {
-    // Pass 1: count candidate extensions.
+    Count(projs, frequent, freq_counts);
+    Thread(projs, *frequent, *freq_counts, buckets);
+  }
+
+  /// Mines the projected database `projs` under `prefix` (prefix given in
+  /// ranks). A dense projection is handed to an FP-tree, where shared
+  /// prefixes are counted once; any other expands one H-struct level and
+  /// recurses depth-first in ascending extension-rank order. Returns false
+  /// iff a governed stop abandoned part of the subtree (always true
+  /// ungoverned).
+  bool Mine(const std::vector<Suffix>& projs, std::vector<Rank>* prefix) {
+    std::vector<Rank> frequent;
+    std::vector<uint64_t> freq_counts;
+    Count(projs, &frequent, &freq_counts);
+    if (IsDense(projs.size(), freq_counts)) {
+      return MineDense(projs, frequent, prefix);
+    }
+    std::vector<std::vector<Suffix>> buckets;
+    Thread(projs, frequent, freq_counts, &buckets);
+    return MineLevel(frequent, freq_counts, &buckets, prefix);
+  }
+
+  /// Mines an expanded level (Expand's outputs) under `prefix`: emits each
+  /// frequent extension and recurses into its bucket, releasing buckets as
+  /// it goes. Returns false iff a governed stop abandoned work.
+  bool MineLevel(const std::vector<Rank>& frequent,
+                 const std::vector<uint64_t>& freq_counts,
+                 std::vector<std::vector<Suffix>>* buckets,
+                 std::vector<Rank>* prefix) {
+    // The suffix buckets are this level's dominant scratch; charge them for
+    // the time the recursion below keeps them alive.
+    const ScopedBytes charge(
+        run_ctx_, run_ctx_ != nullptr ? AllBucketBytes(freq_counts) : 0);
+
+    bool completed = true;
+    for (size_t i = 0; i < frequent.size(); ++i) {
+      if (run_ctx_ != nullptr && run_ctx_->ShouldStop()) {
+        completed = false;
+        break;
+      }
+      prefix->push_back(frequent[i]);
+      EmitPattern(*prefix, freq_counts[i]);
+      if (!Mine((*buckets)[i], prefix)) completed = false;
+      prefix->pop_back();
+      (*buckets)[i].clear();
+      (*buckets)[i].shrink_to_fit();  // Release level memory eagerly.
+    }
+    return completed;
+  }
+
+  void EmitPattern(const std::vector<Rank>& ranks, uint64_t support) {
+    std::vector<ItemId> items = flist_.DecodeRanks(ranks);
+    std::sort(items.begin(), items.end());
+    out_->Add(std::move(items), support);
+  }
+
+ private:
+  /// Pass 1: counts the candidate extensions of `projs` into `frequent`
+  /// (ascending ranks) and `freq_counts`.
+  void Count(const std::vector<Suffix>& projs, std::vector<Rank>* frequent,
+             std::vector<uint64_t>* freq_counts) {
     std::vector<Rank> touched;
     for (const Suffix& s : projs) {
       const auto row = ranked_.Transaction(s.tid);
@@ -84,14 +152,19 @@ class HMineContext {
     }
     // Reset scratch counters before recursion (recursive calls reuse them).
     for (Rank r : touched) counts_[r] = 0;
+  }
 
-    if (frequent->empty()) return;
-
-    // Pass 2: build the per-extension suffix queues (the hyperlinks).
-    buckets->resize(frequent->size());
-    for (size_t i = 0; i < frequent->size(); ++i) {
-      bucket_of_[(*frequent)[i]] = i;
-      (*buckets)[i].reserve((*freq_counts)[i]);
+  /// Pass 2: threads the per-extension suffix queues (the hyperlinks) of
+  /// the frequent extensions Count() found.
+  void Thread(const std::vector<Suffix>& projs,
+              const std::vector<Rank>& frequent,
+              const std::vector<uint64_t>& freq_counts,
+              std::vector<std::vector<Suffix>>* buckets) {
+    if (frequent.empty()) return;
+    buckets->resize(frequent.size());
+    for (size_t i = 0; i < frequent.size(); ++i) {
+      bucket_of_[frequent[i]] = i;
+      (*buckets)[i].reserve(freq_counts[i]);
     }
     for (const Suffix& s : projs) {
       const auto row = ranked_.Transaction(s.tid);
@@ -103,47 +176,35 @@ class HMineContext {
       }
     }
     // Release the scratch map before recursing (recursive calls reuse it).
-    for (Rank r : *frequent) bucket_of_[r] = SIZE_MAX;
-    stats_->projections_built += frequent->size();
+    for (Rank r : frequent) bucket_of_[r] = SIZE_MAX;
+    stats_->projections_built += frequent.size();
   }
 
-  /// Mines the projected database `projs` under `prefix` (prefix given in
-  /// ranks): expands one level, then recurses depth-first in ascending
-  /// extension-rank order. Returns false iff a governed stop abandoned part
-  /// of the subtree (always true ungoverned).
-  bool Mine(const std::vector<Suffix>& projs, std::vector<Rank>* prefix) {
-    std::vector<Rank> frequent;
-    std::vector<uint64_t> freq_counts;
-    std::vector<std::vector<Suffix>> buckets;
-    Expand(projs, &frequent, &freq_counts, &buckets);
-    // The suffix buckets are this level's dominant scratch; charge them for
-    // the time the recursion below keeps them alive.
-    const ScopedBytes charge(
-        run_ctx_, run_ctx_ != nullptr ? AllBucketBytes(freq_counts) : 0);
+  /// A projection is dense when it has at least kDenseMinRows rows and its
+  /// frequent extensions fill at least half of the (row x extension)
+  /// cells. There an FP-tree shares most of each row with its neighbours,
+  /// while suffix threading rescans every row once per extension.
+  static bool IsDense(size_t rows, const std::vector<uint64_t>& freq_counts) {
+    if (rows < kDenseMinRows || freq_counts.empty()) return false;
+    uint64_t filled = 0;
+    for (uint64_t c : freq_counts) filled += c;
+    return 2 * filled >= rows * freq_counts.size();
+  }
 
-    bool completed = true;
-    for (size_t i = 0; i < frequent.size(); ++i) {
-      if (run_ctx_ != nullptr && run_ctx_->ShouldStop()) {
-        completed = false;
-        break;
-      }
-      prefix->push_back(frequent[i]);
-      EmitPattern(*prefix, freq_counts[i]);
-      if (!Mine(buckets[i], prefix)) completed = false;
-      prefix->pop_back();
-      buckets[i].clear();
-      buckets[i].shrink_to_fit();  // Release level memory eagerly.
+  /// Mines a dense projection with FP-growth (MineRankRowsFP) over the
+  /// suffixes it references; `frequent` is Count()'s output for them.
+  bool MineDense(const std::vector<Suffix>& projs,
+                 const std::vector<Rank>& frequent,
+                 std::vector<Rank>* prefix) {
+    std::vector<std::span<const Rank>> rows;
+    rows.reserve(projs.size());
+    for (const Suffix& s : projs) {
+      rows.push_back(ranked_.Transaction(s.tid).subspan(s.pos));
     }
-    return completed;
+    return MineRankRowsFP(rows, frequent, flist_, min_support_, prefix, out_,
+                          stats_, run_ctx_);
   }
 
-  void EmitPattern(const std::vector<Rank>& ranks, uint64_t support) {
-    std::vector<ItemId> items = flist_.DecodeRanks(ranks);
-    std::sort(items.begin(), items.end());
-    out_->Add(std::move(items), support);
-  }
-
- private:
   const RowSource& ranked_;
   const FList& flist_;
   const uint64_t min_support_;
@@ -166,17 +227,18 @@ template <typename RowSource>
 bool MineHM(const RowSource& source, const FList& flist, uint64_t min_support,
             const std::vector<Suffix>& all, const std::vector<Rank>& prefix0,
             PatternSet* out, MiningStats* stats, RunContext* run_ctx) {
+  // The root level is always an H-struct, whatever its shape, so the dense
+  // switch below it is decided identically at every thread count.
   HMineContext<RowSource> root(source, flist, min_support, out, stats);
-  std::vector<Rank> prefix = prefix0;
-  if (run_ctx == nullptr && !ParallelMiningEnabled()) {
-    root.Mine(all, &prefix);
-    return true;
-  }
-
   std::vector<Rank> frequent;
   std::vector<uint64_t> freq_counts;
   std::vector<std::vector<Suffix>> buckets;
   root.Expand(all, &frequent, &freq_counts, &buckets);
+  std::vector<Rank> prefix = prefix0;
+  if (run_ctx == nullptr && !ParallelMiningEnabled()) {
+    root.MineLevel(frequent, freq_counts, &buckets, &prefix);
+    return true;
+  }
 
   // Lane-local contexts reuse their rank-indexed scratch across subtrees.
   // The pool is pinned here so lane ids stay < lane_ctx.size() even if the

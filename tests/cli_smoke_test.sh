@@ -189,4 +189,30 @@ if [ -S "$SOCK" ]; then fail "serve: socket not unlinked"; fi
 # a dead socket is a clean IO error, not a hang or a crash
 expect_exit 74 "$BIN" client --socket "$SOCK" --ping
 
+# SIGTERM right after start-up still drains cleanly: the handlers are in
+# place before the socket accepts anything. First right after the first
+# answered ping, then (a tighter race) as soon as the socket file exists.
+SOCK2="$DIR/gg2.sock"
+expect_early_sigterm_drains() {
+  local pid="$1"
+  kill -TERM "$pid"
+  wait "$pid" || fail "serve: nonzero exit on SIGTERM right after start"
+  grep -q "drained and stopped" "$SERVE_OUT" \
+      || fail "serve: no drain line after early SIGTERM"
+}
+"$BIN" serve -i "$DIR/data.dat" --socket "$SOCK2" > "$SERVE_OUT" 2>&1 &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+  "$BIN" client --socket "$SOCK2" --ping 2>/dev/null | grep -q "pong" && break
+  sleep 0.05
+done
+expect_early_sigterm_drains "$SERVE_PID"
+for _ in $(seq 1 10); do
+  "$BIN" serve -i "$DIR/data.dat" --socket "$SOCK2" > "$SERVE_OUT" 2>&1 &
+  SERVE_PID=$!
+  for _ in $(seq 1 200000); do [ -S "$SOCK2" ] && break; done
+  [ -S "$SOCK2" ] || fail "serve: socket never appeared"
+  expect_early_sigterm_drains "$SERVE_PID"
+done
+
 echo "cli smoke test passed"

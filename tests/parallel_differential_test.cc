@@ -83,15 +83,24 @@ struct DiffParam {
   const char* name;
   uint64_t seed;
   bool dense;
+  // H-Mine hands dense projections below its root to FP-trees on this input,
+  // drawn with kSwitchRows rows. Sits in the padding after `dense` so the
+  // struct keeps its size, which gtest prints in the test names.
+  bool fp_switch;
   uint64_t xi_old;  // Mining threshold for the recycled pattern set.
   uint64_t xi_new;  // Relaxed threshold for re-mining (xi_new <= xi_old).
 };
+static_assert(sizeof(DiffParam) == 40, "test names embed the param size");
+
+constexpr size_t kDenseRows = 300;
+constexpr size_t kSwitchRows = 1200;
 
 class ParallelDifferentialTest : public ::testing::TestWithParam<DiffParam> {
  protected:
   TransactionDb BuildDb() const {
     const DiffParam& p = GetParam();
-    return p.dense ? RandomDenseDb(p.seed, 300, 8, 4)
+    return p.dense ? RandomDenseDb(
+                       p.seed, p.fp_switch ? kSwitchRows : kDenseRows, 8, 4)
                    : RandomDb(p.seed, 400, 60, 8.0);
   }
 };
@@ -112,6 +121,12 @@ TEST_P(ParallelDifferentialTest, PlainMinersMatchSequentialAndOracle) {
     PatternSet canon = sequential;
     EXPECT_TRUE(PatternSet::Equal(&oracle, &canon))
         << "sequential run disagrees with Apriori oracle";
+    if (kind == MinerKind::kHMine && GetParam().fp_switch) {
+      // Suffix threading builds one projection per emitted pattern; an
+      // FP-tree emits many patterns per conditional tree.
+      EXPECT_LT(seq_stats.projections_built, seq_stats.patterns_emitted)
+          << "no projection was mined with an FP-tree";
+    }
 
     for (size_t threads : kThreadCounts) {
       SCOPED_TRACE(testing::Message() << threads << " threads");
@@ -206,17 +221,18 @@ TEST_P(ParallelDifferentialTest, ParallelCompressionIsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Quest, ParallelDifferentialTest,
-    ::testing::Values(DiffParam{"quest_a", 11, false, 40, 20},
-                      DiffParam{"quest_b", 29, false, 30, 12},
-                      DiffParam{"quest_c", 63, false, 24, 16}),
+    ::testing::Values(DiffParam{"quest_a", 11, false, false, 40, 20},
+                      DiffParam{"quest_b", 29, false, false, 30, 12},
+                      DiffParam{"quest_c", 63, false, false, 24, 16}),
     // `tpi`, not `info`: the INSTANTIATE macro's generated function already
     // has a parameter named `info`, which the lambda would shadow.
     [](const auto& tpi) { return tpi.param.name; });
 
 INSTANTIATE_TEST_SUITE_P(
     Dense, ParallelDifferentialTest,
-    ::testing::Values(DiffParam{"dense_a", 7, true, 120, 60},
-                      DiffParam{"dense_b", 41, true, 90, 45}),
+    ::testing::Values(DiffParam{"dense_a", 7, true, false, 120, 60},
+                      DiffParam{"dense_b", 41, true, false, 90, 45},
+                      DiffParam{"dense_switch", 7, true, true, 480, 360}),
     [](const auto& tpi) { return tpi.param.name; });
 
 }  // namespace

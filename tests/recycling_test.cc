@@ -170,15 +170,17 @@ TEST(RecyclingTest, EmptyCdbYieldsEmptySet) {
 }
 
 TEST(RecyclingTest, StatsShowGroupCountingSavings) {
-  // The compressed H-Mine variant must touch far fewer item occurrences
-  // than plain H-Mine at the same threshold — that is the entire point of
-  // recycling (Section 3.1).
+  // Recycle-HM over the grouped database must touch fewer item occurrences
+  // than over the same database without groups (no seed patterns) at the
+  // same threshold — that is the entire point of recycling (Section 3.1).
   const TransactionDb db = RandomDenseDb(55, 400, 10, 3);
   const PatternSet fp_old = MustMineDirect(db, 320);
   const CompressedDb cdb = MustCompress(db, fp_old, CompressionStrategy::kMcp);
+  const CompressedDb ungrouped =
+      MustCompress(db, PatternSet(), CompressionStrategy::kMcp);
 
-  auto direct = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  ASSERT_TRUE(direct->Mine(db, 240).ok());
+  auto direct = CreateCompressedMiner(RecycleAlgo::kHMine);
+  ASSERT_TRUE(direct->MineCompressed(ungrouped, 240).ok());
   auto recycled = CreateCompressedMiner(RecycleAlgo::kHMine);
   ASSERT_TRUE(recycled->MineCompressed(cdb, 240).ok());
   EXPECT_LT(recycled->stats().items_scanned, direct->stats().items_scanned);

@@ -35,6 +35,34 @@ using fpm::MinerKind;
 using fpm::PatternSet;
 using fpm::TransactionDb;
 using testutil::RandomDb;
+using testutil::RandomDenseDb;
+
+/// A database and the support to mine it at.
+struct GovernedCase {
+  const char* name;
+  TransactionDb db;
+  uint64_t minsup;
+};
+
+/// Dense enough that H-Mine hands projections below its root to FP-trees,
+/// so governed stops also land inside those trees.
+GovernedCase DenseSwitchCase() {
+  return {"dense-switch", RandomDenseDb(7, 1200, 8, 4), 360};
+}
+
+/// 600 identical rows of 41 items: all 2^41 - 1 itemsets are frequent.
+/// Every projection below H-Mine's root is one FP-tree path, up to 40 long,
+/// and FP-growth's root tree is one path of 41 nodes, so only a governed
+/// stop ends the run.
+GovernedCase LongSinglePathCase() {
+  std::vector<fpm::ItemId> row(41);
+  for (size_t i = 0; i < row.size(); ++i) {
+    row[i] = static_cast<fpm::ItemId>(i + 1);
+  }
+  TransactionDb db;
+  for (int t = 0; t < 600; ++t) db.AddTransaction(row);
+  return {"long-single-path", std::move(db), 600};
+}
 
 constexpr MinerKind kGovernedMiners[] = {
     MinerKind::kHMine, MinerKind::kFpGrowth, MinerKind::kTreeProjection};
@@ -174,17 +202,40 @@ TEST(GovernedMineTest, PreCancelledRunIsPartialWithSoundFrontier) {
 }
 
 TEST(GovernedMineTest, ExpiredDeadlineIsPartialDeterministically) {
-  const TransactionDb db = RandomDb(8, 300, 50, 8);
-  for (MinerKind kind : kGovernedMiners) {
+  for (const GovernedCase& c :
+       {GovernedCase{"sparse", RandomDb(8, 300, 50, 8), 3},
+        DenseSwitchCase(), LongSinglePathCase()}) {
+    SCOPED_TRACE(c.name);
+    for (MinerKind kind : kGovernedMiners) {
+      auto miner = fpm::CreateMiner(kind);
+      SCOPED_TRACE(miner->name());
+      RunContext ctx;
+      ctx.SetDeadlineAfterMillis(0);
+      auto outcome = Governed(*miner, c.db, c.minsup, &ctx);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_TRUE(outcome->partial);
+      EXPECT_EQ(outcome->stop_status.code(), StatusCode::kDeadlineExceeded);
+      ExpectExactAtFrontier(c.db, std::move(outcome).value(), "deadline-0");
+    }
+  }
+}
+
+TEST(GovernedMineTest, DeadlineEndsSinglePathEnumeration) {
+  // A deadline that expires mid-run lands inside a single-path subset
+  // enumeration: H-Mine's root extensions project onto paths of 0, 1, ...,
+  // 40 nodes, and FP-growth's first conditional tree below its root path
+  // holds a 39-node path. Both must come back partial, not run 2^39 steps.
+  const GovernedCase c = LongSinglePathCase();
+  for (MinerKind kind : {MinerKind::kHMine, MinerKind::kFpGrowth}) {
     auto miner = fpm::CreateMiner(kind);
     SCOPED_TRACE(miner->name());
     RunContext ctx;
-    ctx.SetDeadlineAfterMillis(0);
-    auto outcome = Governed(*miner, db, 3, &ctx);
+    ctx.SetDeadlineAfterMillis(20);
+    auto outcome = Governed(*miner, c.db, c.minsup, &ctx);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_TRUE(outcome->partial);
     EXPECT_EQ(outcome->stop_status.code(), StatusCode::kDeadlineExceeded);
-    ExpectExactAtFrontier(db, std::move(outcome).value(), "deadline-0");
+    ExpectExactAtFrontier(c.db, std::move(outcome).value(), "deadline-20ms");
   }
 }
 
@@ -235,28 +286,41 @@ void BudgetPartialCase(MinerKind kind, const TransactionDb& db,
 TEST(GovernedMineTest, MemoryBudgetYieldsExactPartialSet) {
   // Single worker keeps the probe/budget byte profiles comparable.
   ScopedThreads single(1);
-  const TransactionDb db = RandomDb(11, 500, 60, 9);
-  for (MinerKind kind : kGovernedMiners) BudgetPartialCase(kind, db, 3);
+  for (const GovernedCase& c :
+       {GovernedCase{"sparse", RandomDb(11, 500, 60, 9), 3},
+        DenseSwitchCase()}) {
+    SCOPED_TRACE(c.name);
+    for (MinerKind kind : kGovernedMiners) {
+      BudgetPartialCase(kind, c.db, c.minsup);
+    }
+  }
 }
 
 TEST(GovernedMineTest, MemoryBudgetPartialKeepsFrequentHead) {
   // With descending-frequency subtree order, a mid-run stop must still have
   // completed the most-frequent singletons: the partial set is non-empty.
+  // A budget one byte under the peak trips where the peak is reached, which
+  // on the dense case is inside an FP-tree below H-Mine's root.
   ScopedThreads single(1);
-  const TransactionDb db = RandomDb(12, 500, 60, 9);
-  auto miner = fpm::CreateMiner(MinerKind::kHMine);
-  RunContext probe;
-  auto full = Governed(*miner, db, 3, &probe);
-  ASSERT_TRUE(full.ok());
-  ASSERT_GT(probe.bytes_peak(), 0u);
+  for (const GovernedCase& c :
+       {GovernedCase{"sparse", RandomDb(12, 500, 60, 9), 3},
+        DenseSwitchCase()}) {
+    SCOPED_TRACE(c.name);
+    auto miner = fpm::CreateMiner(MinerKind::kHMine);
+    RunContext probe;
+    auto full = Governed(*miner, c.db, c.minsup, &probe);
+    ASSERT_TRUE(full.ok());
+    ASSERT_GT(probe.bytes_peak(), 0u);
 
-  RunContext ctx;
-  ctx.SetMemoryBudget(probe.bytes_peak() - 1);
-  auto outcome = Governed(*miner, db, 3, &ctx);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ASSERT_TRUE(outcome->partial);
-  EXPECT_GT(outcome->patterns.size(), 0u);
-  ExpectExactAtFrontier(db, std::move(outcome).value(), "near-peak budget");
+    RunContext ctx;
+    ctx.SetMemoryBudget(probe.bytes_peak() - 1);
+    auto outcome = Governed(*miner, c.db, c.minsup, &ctx);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_TRUE(outcome->partial);
+    EXPECT_GT(outcome->patterns.size(), 0u);
+    ExpectExactAtFrontier(c.db, std::move(outcome).value(),
+                          "near-peak budget");
+  }
 }
 
 // --- Governed recycling (compressed-database miners) --------------------

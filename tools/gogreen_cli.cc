@@ -630,8 +630,17 @@ Status CmdServe(const Args& args) {
   options.max_connections = static_cast<size_t>(max_connections);
   GOGREEN_ASSIGN_OR_RETURN(options.mine_hold_ms, args.GetInt("hold-ms", 0));
 
+  // Install the handlers before the socket accepts anything: a client that
+  // sees the first ping may send SIGTERM at once and expects a clean drain.
+  g_shutdown_requested = 0;
+  std::signal(SIGINT, RequestShutdown);
+  std::signal(SIGTERM, RequestShutdown);
   gogreen::net::Server server(service, setup.admission.get(), options);
-  GOGREEN_RETURN_NOT_OK(server.Start());
+  if (const Status started = server.Start(); !started.ok()) {
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+    return started;
+  }
   if (!options.unix_path.empty()) {
     std::printf("serving %s on %s\n", service.dataset_id().c_str(),
                 options.unix_path.c_str());
@@ -641,9 +650,6 @@ Status CmdServe(const Args& args) {
   }
   std::fflush(stdout);
 
-  g_shutdown_requested = 0;
-  std::signal(SIGINT, RequestShutdown);
-  std::signal(SIGTERM, RequestShutdown);
   while (g_shutdown_requested == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
