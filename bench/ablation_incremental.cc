@@ -77,8 +77,9 @@ int main() {
         kFraction, accumulated.NumTransactions());
 
     Timer t_scratch;
-    auto scratch = gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine)
-                       ->Mine(accumulated, minsup);
+    auto scratch =
+        gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine)
+            ->Mine(accumulated, gogreen::fpm::MineRequest::At(minsup));
     const double scratch_secs = t_scratch.ElapsedSeconds();
     if (!scratch.ok()) return 1;
 
@@ -87,17 +88,17 @@ int main() {
     const double rec_secs = t_rec.ElapsedSeconds();
     if (!recycled.ok()) return 1;
 
-    if (recycled->size() != scratch->size() ||
-        negborder.Frequent().size() != scratch->size()) {
+    if (recycled->size() != scratch->patterns.size() ||
+        negborder.Frequent().size() != scratch->patterns.size()) {
       std::fprintf(stderr,
                    "MISMATCH day %d: scratch=%zu negborder=%zu recycle=%zu\n",
-                   day, scratch->size(), negborder.Frequent().size(),
+                   day, scratch->patterns.size(), negborder.Frequent().size(),
                    recycled->size());
       return 2;
     }
     std::printf("%-5d %10zu | %9.3fs %9.3fs %9.3fs | %10zu %12zu\n", day,
                 accumulated.NumTransactions(), scratch_secs, nb_secs,
-                rec_secs, scratch->size(), negborder.BorderSize());
+                rec_secs, scratch->patterns.size(), negborder.BorderSize());
     std::fflush(stdout);
   }
 

@@ -31,24 +31,25 @@ int main() {
     const uint64_t old_sup =
         gogreen::fpm::AbsoluteSupport(spec.xi_old, db->NumTransactions());
     auto miner = gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kFpGrowth);
-    auto fp = miner->Mine(*db, old_sup);
+    auto fp = miner->Mine(*db, gogreen::fpm::MineRequest::At(old_sup));
     if (!fp.ok()) return 1;
 
     CompressionStats linear;
     CompressionStats inverted;
     if (!gogreen::core::CompressDatabase(
-             *db, fp.value(),
+             *db, fp->patterns,
              {CompressionStrategy::kMcp, MatcherKind::kLinear}, &linear)
              .ok() ||
         !gogreen::core::CompressDatabase(
-             *db, fp.value(),
+             *db, fp->patterns,
              {CompressionStrategy::kMcp, MatcherKind::kInvertedIndex},
              &inverted)
              .ok()) {
       return 1;
     }
-    std::printf("%-13s %10zu %11.3fs %13.3fs %10s\n", spec.name, fp->size(),
-                linear.elapsed_seconds, inverted.elapsed_seconds,
+    std::printf("%-13s %10zu %11.3fs %13.3fs %10s\n", spec.name,
+                fp->patterns.size(), linear.elapsed_seconds,
+                inverted.elapsed_seconds,
                 linear.elapsed_seconds <= inverted.elapsed_seconds
                     ? "linear"
                     : "inverted");

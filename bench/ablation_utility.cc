@@ -21,6 +21,7 @@ int main() {
   using gogreen::core::CompressionStrategy;
   using gogreen::core::MatcherKind;
   using gogreen::core::RecycleAlgo;
+  using gogreen::fpm::MineRequest;
   using gogreen::fpm::PatternSet;
 
   const gogreen::BenchScale scale = gogreen::GetBenchScale();
@@ -40,25 +41,25 @@ int main() {
         spec.xi_new_sweep.back(), db->NumTransactions());
 
     auto miner = gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine);
-    auto fp = miner->Mine(*db, old_sup);
+    auto fp = miner->Mine(*db, MineRequest::At(old_sup));
     if (!fp.ok()) return 1;
     const std::vector<size_t> ranking = gogreen::core::RankPatternsByUtility(
-        fp.value(), CompressionStrategy::kMcp, db->NumTransactions());
+        fp->patterns, CompressionStrategy::kMcp, db->NumTransactions());
 
     // Non-recycling baseline.
     Timer timer;
     auto base_miner =
         gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine);
-    if (!base_miner->Mine(*db, new_sup).ok()) return 1;
+    if (!base_miner->Mine(*db, MineRequest::At(new_sup)).ok()) return 1;
     const double baseline = timer.ElapsedSeconds();
 
     double times[4] = {0, 0, 0, 0};
     double full_ratio = 1.0;
-    const size_t kvals[4] = {1, 10, 100, fp->size()};
+    const size_t kvals[4] = {1, 10, 100, fp->patterns.size()};
     for (int ki = 0; ki < 4; ++ki) {
       PatternSet top;
       for (size_t i = 0; i < std::min(kvals[ki], ranking.size()); ++i) {
-        top.Add(fp.value()[ranking[i]]);
+        top.Add(fp->patterns[ranking[i]]);
       }
       gogreen::core::CompressionStats stats;
       auto cdb = gogreen::core::CompressDatabase(
@@ -68,7 +69,7 @@ int main() {
       if (ki == 3) full_ratio = stats.Ratio();
       Timer mine_timer;
       auto rm = gogreen::core::CreateCompressedMiner(RecycleAlgo::kHMine);
-      if (!rm->MineCompressed(*cdb, new_sup).ok()) return 1;
+      if (!rm->Mine(*cdb, MineRequest::At(new_sup)).ok()) return 1;
       times[ki] = mine_timer.ElapsedSeconds();
     }
     std::printf("%-13s %7.2fs %9.2fs %9.2fs %9.2fs %9.2fs %12.3f\n",

@@ -18,6 +18,7 @@ int main() {
   using gogreen::core::CompressionStrategy;
   using gogreen::core::MatcherKind;
   using gogreen::core::RecycleAlgo;
+  using gogreen::fpm::MineRequest;
 
   const gogreen::BenchScale scale = gogreen::GetBenchScale();
   std::printf("== Ablation: recycling benefit vs xi_old (Recycle-HM, MCP, "
@@ -34,7 +35,7 @@ int main() {
 
     Timer timer;
     auto base = gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine);
-    if (!base->Mine(*db, new_sup).ok()) return 1;
+    if (!base->Mine(*db, MineRequest::At(new_sup)).ok()) return 1;
     const double baseline = timer.ElapsedSeconds();
 
     std::printf("%s: xi_new=%.4g%%, non-recycling H-Mine=%.2fs\n", spec.name,
@@ -53,28 +54,28 @@ int main() {
       Timer old_timer;
       auto old_miner =
           gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine);
-      auto fp = old_miner->Mine(*db, old_sup);
+      auto fp = old_miner->Mine(*db, MineRequest::At(old_sup));
       if (!fp.ok()) return 1;
       const double old_secs = old_timer.ElapsedSeconds();
-      if (fp->empty()) {
+      if (fp->patterns.empty()) {
         std::printf("  %-8.4g%% %10zu  (no patterns to recycle)\n",
-                    xi_old * 100, fp->size());
+                    xi_old * 100, fp->patterns.size());
         continue;
       }
 
       gogreen::core::CompressionStats stats;
       auto cdb = gogreen::core::CompressDatabase(
-          *db, fp.value(), {CompressionStrategy::kMcp, MatcherKind::kAuto},
+          *db, fp->patterns, {CompressionStrategy::kMcp, MatcherKind::kAuto},
           &stats);
       if (!cdb.ok()) return 1;
 
       Timer mine_timer;
       auto rm = gogreen::core::CreateCompressedMiner(RecycleAlgo::kHMine);
-      if (!rm->MineCompressed(*cdb, new_sup).ok()) return 1;
+      if (!rm->Mine(*cdb, MineRequest::At(new_sup)).ok()) return 1;
       const double recycle_secs = mine_timer.ElapsedSeconds();
 
       std::printf("  %-8.4g%% %10zu %11.2fs %11.2fs %9.1fx %9.3f\n",
-                  xi_old * 100, fp->size(), old_secs, recycle_secs,
+                  xi_old * 100, fp->patterns.size(), old_secs, recycle_secs,
                   recycle_secs > 0 ? baseline / recycle_secs : 0.0,
                   stats.Ratio());
       std::fflush(stdout);

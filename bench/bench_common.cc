@@ -79,6 +79,11 @@ uint64_t CounterNow(const char* name) {
   return obs::MetricRegistry::Global().GetCounter(name)->Value();
 }
 
+size_t NumPatterns(const PatternSet& patterns) { return patterns.size(); }
+size_t NumPatterns(const fpm::MineResult& result) {
+  return result.patterns.size();
+}
+
 /// Runs a miner, measuring wall time plus registry/span deltas; prints and
 /// exits on error.
 template <typename Fn>
@@ -95,7 +100,7 @@ RunMeasurement Measure(Fn&& fn) {
                  result.status().ToString().c_str());
     std::exit(1);
   }
-  m.patterns = result.value().size();
+  m.patterns = NumPatterns(result.value());
   m.items_scanned = CounterNow("mine.items_scanned") - items0;
   m.projections_built = CounterNow("mine.projections_built") - projs0;
   m.mine_seconds = MineSpanSeconds() - spans0;
@@ -285,13 +290,13 @@ int RunRuntimeFigure(const char* figure, DatasetId dataset, AlgoFamily family,
       fpm::AbsoluteSupport(spec.xi_old, db.NumTransactions());
   Timer timer;
   auto base_miner = fpm::CreateMiner(info.baseline);
-  auto fp_old_result = base_miner->Mine(db, old_sup);
+  auto fp_old_result = base_miner->Mine(db, fpm::MineRequest::At(old_sup));
   if (!fp_old_result.ok()) {
     std::fprintf(stderr, "xi_old mine: %s\n",
                  fp_old_result.status().ToString().c_str());
     return 1;
   }
-  const PatternSet fp_old = std::move(fp_old_result).value();
+  const PatternSet fp_old = std::move(fp_old_result->patterns);
   const double old_mine_secs = timer.ElapsedSeconds();
 
   // Phase 1: compression with both strategies, span-timed.
@@ -361,15 +366,15 @@ int RunRuntimeFigure(const char* figure, DatasetId dataset, AlgoFamily family,
 
       const RunMeasurement base = Measure([&] {
         auto miner = fpm::CreateMiner(info.baseline);
-        return miner->Mine(db, sup);
+        return miner->Mine(db, fpm::MineRequest::At(sup));
       });
       const RunMeasurement mcp = Measure([&] {
         auto miner = core::CreateCompressedMiner(info.recycler);
-        return miner->MineCompressed(cdb_mcp, sup);
+        return miner->Mine(cdb_mcp, fpm::MineRequest::At(sup));
       });
       const RunMeasurement mlp = Measure([&] {
         auto miner = core::CreateCompressedMiner(info.recycler);
-        return miner->MineCompressed(cdb_mlp, sup);
+        return miner->Mine(cdb_mlp, fpm::MineRequest::At(sup));
       });
 
       if (base.patterns != mcp.patterns || base.patterns != mlp.patterns) {
@@ -446,14 +451,14 @@ int RunMemoryLimitFigure(const char* figure, DatasetId dataset,
   const uint64_t old_sup =
       fpm::AbsoluteSupport(spec.xi_old, db.NumTransactions());
   auto fp_miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto fp_old = fp_miner->Mine(db, old_sup);
+  auto fp_old = fp_miner->Mine(db, fpm::MineRequest::At(old_sup));
   if (!fp_old.ok()) {
     std::fprintf(stderr, "xi_old mine: %s\n",
                  fp_old.status().ToString().c_str());
     return 1;
   }
   auto cdb_result = core::CompressDatabase(
-      db, fp_old.value(), {CompressionStrategy::kMcp, MatcherKind::kAuto});
+      db, fp_old->patterns, {CompressionStrategy::kMcp, MatcherKind::kAuto});
   if (!cdb_result.ok()) {
     std::fprintf(stderr, "compression: %s\n",
                  cdb_result.status().ToString().c_str());
@@ -562,13 +567,13 @@ int RunThreadScalingFigure(const char* figure, DatasetId dataset,
       fpm::AbsoluteSupport(spec.xi_old, db.NumTransactions());
 
   auto base_miner = fpm::CreateMiner(info.baseline);
-  auto fp_old_result = base_miner->Mine(db, old_sup);
+  auto fp_old_result = base_miner->Mine(db, fpm::MineRequest::At(old_sup));
   if (!fp_old_result.ok()) {
     std::fprintf(stderr, "xi_old mine: %s\n",
                  fp_old_result.status().ToString().c_str());
     return 1;
   }
-  const PatternSet fp_old = std::move(fp_old_result).value();
+  const PatternSet fp_old = std::move(fp_old_result->patterns);
   auto mcp_result = core::CompressDatabase(
       db, fp_old, {CompressionStrategy::kMcp, MatcherKind::kAuto});
   if (!mcp_result.ok()) {
@@ -609,11 +614,11 @@ int RunThreadScalingFigure(const char* figure, DatasetId dataset,
     ThreadPool::SetGlobalThreads(sweep[i]);
     const RunMeasurement base = Measure([&] {
       auto miner = fpm::CreateMiner(info.baseline);
-      return miner->Mine(db, sup);
+      return miner->Mine(db, fpm::MineRequest::At(sup));
     });
     const RunMeasurement mcp = Measure([&] {
       auto miner = core::CreateCompressedMiner(info.recycler);
-      return miner->MineCompressed(cdb, sup);
+      return miner->Mine(cdb, fpm::MineRequest::At(sup));
     });
     if (i == 0) {
       base_ref = base.wall_seconds;

@@ -43,9 +43,9 @@ const PatternSet& BenchFp() {
   static const PatternSet* fp = [] {
     auto miner =
         gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kFpGrowth);
-    auto result = miner->Mine(BenchDb(), 400);
+    auto result = miner->Mine(BenchDb(), gogreen::fpm::MineRequest::At(400));
     // gogreen-lint: allow(naked-new): intentionally leaked bench fixture
-    return new PatternSet(std::move(result).value());
+    return new PatternSet(std::move(result->patterns));
   }();
   return *fp;
 }
@@ -128,7 +128,8 @@ void BM_MineHMine(benchmark::State& state) {
   const uint64_t minsup = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
     auto miner = gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine);
-    benchmark::DoNotOptimize(miner->Mine(BenchDb(), minsup));
+    benchmark::DoNotOptimize(
+        miner->Mine(BenchDb(), gogreen::fpm::MineRequest::At(minsup)));
   }
 }
 BENCHMARK(BM_MineHMine)->Arg(400)->Arg(200);
@@ -140,7 +141,8 @@ void BM_MineRecycleHM(benchmark::State& state) {
   for (auto _ : state) {
     auto miner = gogreen::core::CreateCompressedMiner(
         gogreen::core::RecycleAlgo::kHMine);
-    benchmark::DoNotOptimize(miner->MineCompressed(*cdb, minsup));
+    benchmark::DoNotOptimize(
+        miner->Mine(*cdb, gogreen::fpm::MineRequest::At(minsup)));
   }
 }
 BENCHMARK(BM_MineRecycleHM)->Arg(400)->Arg(200);

@@ -92,7 +92,7 @@ int main() {
     const uint64_t old_sup =
         gogreen::fpm::AbsoluteSupport(spec.xi_old, db.NumTransactions());
     auto miner = gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kFpGrowth);
-    auto fp = miner->Mine(db, old_sup);
+    auto fp = miner->Mine(db, gogreen::fpm::MineRequest::At(old_sup));
     if (!fp.ok()) return 1;
 
     // Stage the raw dataset on disk for the I/O measurement.
@@ -103,10 +103,10 @@ int main() {
     if (!gogreen::data::WriteDatFile(db, dat_path).ok()) return 1;
 
     const StrategyResult mcp =
-        RunStrategy(db, fp.value(), CompressionStrategy::kMcp, dat_path,
+        RunStrategy(db, fp->patterns, CompressionStrategy::kMcp, dat_path,
                     cdb_path);
     const StrategyResult mlp =
-        RunStrategy(db, fp.value(), CompressionStrategy::kMlp, dat_path,
+        RunStrategy(db, fp->patterns, CompressionStrategy::kMlp, dat_path,
                     cdb_path);
     std::remove(dat_path.c_str());
 
@@ -114,9 +114,9 @@ int main() {
         "%-13s %9zu %8.1f %7zu %6.4g%% %9zu %7zu | %8.2fs %8.2fs %6.3f | "
         "%8.2fs %8.2fs %6.3f\n",
         spec.name, db.NumTransactions(), db.AvgLength(),
-        db.NumDistinctItems(), spec.xi_old * 100, fp->size(),
-        fp->MaxLength(), mcp.io_seconds, mcp.pipeline_seconds, mcp.ratio,
-        mlp.io_seconds, mlp.pipeline_seconds, mlp.ratio);
+        db.NumDistinctItems(), spec.xi_old * 100, fp->patterns.size(),
+        fp->patterns.MaxLength(), mcp.io_seconds, mcp.pipeline_seconds,
+        mcp.ratio, mlp.io_seconds, mlp.pipeline_seconds, mlp.ratio);
     std::fflush(stdout);
   }
   std::printf("\nExpectations from the paper: pipeline << mining time; "

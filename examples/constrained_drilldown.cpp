@@ -9,14 +9,18 @@
 #include <cstdio>
 
 #include "core/constrained_mine.h"
-#include "core/recycler.h"
 #include "data/quest_gen.h"
+#include "fpm/constraints.h"
 #include "fpm/miner.h"
+#include "serve/mining_service.h"
 #include "util/timer.h"
 
 int main() {
   using gogreen::Timer;
-  using gogreen::core::ConstraintSet;
+  using gogreen::fpm::ConstraintSet;
+  using gogreen::fpm::MakeMaxLength;
+  using gogreen::fpm::MakeMaxSum;
+  using gogreen::fpm::MineRequest;
 
   // A basket dataset over 2000 products with synthetic prices: product id
   // modulo 50, in dollars (cheap staples get low ids in this fiction).
@@ -42,16 +46,16 @@ int main() {
 
   // Query: bundles under a $60 total price, at most 4 products.
   ConstraintSet constraints(minsup);
-  constraints.Add(gogreen::core::MakeMaxSum(prices, 60.0));
-  constraints.Add(gogreen::core::MakeMaxLength(4));
+  constraints.Add(MakeMaxSum(prices, 60.0));
+  constraints.Add(MakeMaxLength(4));
   std::printf("query: %s\n\n", constraints.Describe().c_str());
 
   // Path 1: complete mining + filter.
   Timer t1;
   auto complete = gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine)
-                      ->Mine(db, minsup);
+                      ->Mine(db, MineRequest::At(minsup));
   if (!complete.ok()) return 1;
-  const auto filtered = constraints.Filter(*complete);
+  const auto filtered = constraints.Filter(complete->patterns);
   const double filter_secs = t1.ElapsedSeconds();
 
   // Path 2: pushdown — anti-monotone constraints prune the search.
@@ -63,7 +67,7 @@ int main() {
   const double pushdown_secs = t2.ElapsedSeconds();
 
   std::printf("complete+filter: %6zu patterns in %.3fs (complete set %zu)\n",
-              filtered.size(), filter_secs, complete->size());
+              filtered.size(), filter_secs, complete->patterns.size());
   std::printf("pushdown:        %6zu patterns in %.3fs "
               "(%.1fx, %llu item occurrences scanned)\n",
               pushed->size(), pushdown_secs,
@@ -76,23 +80,25 @@ int main() {
   }
 
   // The iterative step: the analyst relaxes the budget and the support.
-  // The session recycles the cached (support-complete) patterns.
-  gogreen::core::RecyclingSession session(db);
+  // The service recycles the support-complete set it cached for round 1.
+  gogreen::serve::MiningService service(db, "baskets");
   ConstraintSet round1(minsup);
-  round1.Add(gogreen::core::MakeMaxSum(prices, 60.0));
-  if (!session.Mine(round1).ok()) return 1;
+  round1.Add(MakeMaxSum(prices, 60.0));
+  MineRequest request1;
+  request1.constraints = &round1;
+  if (!service.Mine(request1).ok()) return 1;
 
   ConstraintSet round2(
       gogreen::fpm::AbsoluteSupport(0.004, db.NumTransactions()));
-  round2.Add(gogreen::core::MakeMaxSum(prices, 120.0));
-  Timer t3;
-  auto relaxed = session.Mine(round2);
+  round2.Add(MakeMaxSum(prices, 120.0));
+  MineRequest request2;
+  request2.constraints = &round2;
+  gogreen::serve::ServeStats st;
+  auto relaxed = service.Mine(request2, &st);
   if (!relaxed.ok()) return 1;
-  std::printf("\nrelaxed budget+support via session: %zu patterns in %.3fs "
-              "(path=%s, delta=%s)\n",
-              relaxed->size(), t3.ElapsedSeconds(),
-              gogreen::core::MiningPathName(session.last_stats().path),
-              gogreen::core::ConstraintDeltaName(
-                  session.last_stats().delta));
+  std::printf("\nrelaxed budget+support via the service: %zu patterns in "
+              "%.3fs (route=%s)\n",
+              relaxed->patterns.size(), st.seconds,
+              gogreen::core::SeedRouteName(st.route));
   return 0;
 }

@@ -35,7 +35,6 @@ gogreen::fpm::TransactionDb DayBatch(int day, size_t rows) {
 int main() {
   using gogreen::Timer;
   using gogreen::core::IncrementalSession;
-  using gogreen::core::MiningPathName;
 
   constexpr double kSupportFraction = 0.01;
   constexpr size_t kDailyRows = 30000;
@@ -43,19 +42,16 @@ int main() {
   // Day 0: bootstrap with the first batch and a full mine.
   IncrementalSession session(DayBatch(0, kDailyRows));
 
-  // A non-recycling control session over the same data.
-  gogreen::core::RecyclerOptions scratch_opts;
-  scratch_opts.enable_recycling = false;
-  IncrementalSession control(DayBatch(0, kDailyRows), scratch_opts);
+  // The non-recycling control: H-Mine over the session's current data.
+  const auto mine_scratch = [&session](uint64_t minsup) {
+    return gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine)
+        ->Mine(session.db(), gogreen::fpm::MineRequest::At(minsup));
+  };
 
   std::printf("%-5s %10s %12s | %12s %12s | %9s %8s\n", "day", "rows",
               "#patterns", "recycled", "scratch", "speedup", "path");
   for (int day = 0; day <= 6; ++day) {
-    if (day > 0) {
-      const auto batch = DayBatch(day, kDailyRows);
-      session.AddBatch(batch);
-      control.AddBatch(batch);
-    }
+    if (day > 0) session.AddBatch(DayBatch(day, kDailyRows));
     const uint64_t minsup = gogreen::fpm::AbsoluteSupport(
         kSupportFraction, session.db().NumTransactions());
 
@@ -65,11 +61,11 @@ int main() {
     if (!recycled.ok()) return 1;
 
     Timer t2;
-    auto scratch = control.Mine(minsup);
+    auto scratch = mine_scratch(minsup);
     const double scratch_secs = t2.ElapsedSeconds();
     if (!scratch.ok()) return 1;
 
-    if (recycled->size() != scratch->size()) {
+    if (!gogreen::fpm::PatternSet::Equal(&*recycled, &scratch->patterns)) {
       std::fprintf(stderr, "MISMATCH on day %d\n", day);
       return 2;
     }
@@ -77,7 +73,7 @@ int main() {
                 session.db().NumTransactions(), recycled->size(),
                 recycled_secs, scratch_secs,
                 recycled_secs > 0 ? scratch_secs / recycled_secs : 0.0,
-                MiningPathName(session.last_stats().path));
+                session.last_recycled() ? "recycled" : "scratch");
   }
 
   // Week's end: retention policy deletes the oldest third of the log, and
@@ -87,9 +83,6 @@ int main() {
   session.RemoveIf([cutoff](gogreen::fpm::Tid t, gogreen::fpm::ItemSpan) {
     return t < cutoff;
   });
-  control.RemoveIf([cutoff](gogreen::fpm::Tid t, gogreen::fpm::ItemSpan) {
-    return t < cutoff;
-  });
   const uint64_t low_sup = gogreen::fpm::AbsoluteSupport(
       0.01, session.db().NumTransactions());
 
@@ -97,16 +90,17 @@ int main() {
   auto recycled = session.Mine(low_sup);
   const double recycled_secs = t1.ElapsedSeconds();
   Timer t2;
-  auto scratch = control.Mine(low_sup);
+  auto scratch = mine_scratch(low_sup);
   const double scratch_secs = t2.ElapsedSeconds();
   if (!recycled.ok() || !scratch.ok()) return 1;
+  const bool agree =
+      gogreen::fpm::PatternSet::Equal(&*recycled, &scratch->patterns);
   std::printf("\nafter deleting %zu rows and halving the threshold:\n",
               cutoff);
   std::printf("  recycled %.3fs vs scratch %.3fs (%.1fx), %zu patterns, "
               "results %s\n",
               recycled_secs, scratch_secs,
               recycled_secs > 0 ? scratch_secs / recycled_secs : 0.0,
-              recycled->size(),
-              recycled->size() == scratch->size() ? "agree" : "DISAGREE");
-  return 0;
+              recycled->size(), agree ? "agree" : "DISAGREE");
+  return agree ? 0 : 2;
 }

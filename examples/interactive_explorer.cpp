@@ -2,26 +2,26 @@
 // case): an analyst working over a synthetic market-basket dataset keeps
 // refining the mining constraints — lowering the support when results are
 // too sparse, raising it or adding constraints when they are too noisy.
-// The RecyclingSession transparently picks the cheapest correct path per
-// round (filter / recycle / initial) and this example prints what it did.
+// The MiningService transparently picks the cheapest correct route per
+// round (exact / filter-down / recycle / scratch) and this example prints
+// what it did.
 //
 // Build & run:  ./build/examples/interactive_explorer
 
 #include <cstdio>
 
-#include "core/recycler.h"
 #include "data/quest_gen.h"
+#include "fpm/constraints.h"
 #include "fpm/miner.h"
+#include "serve/mining_service.h"
 
 namespace {
 
-void Report(const char* request, const gogreen::core::RecyclingSession& s,
-            size_t returned) {
-  const auto& st = s.last_stats();
-  std::printf("%-44s -> %6zu patterns | path=%-8s mine=%.3fs", request,
-              returned, gogreen::core::MiningPathName(st.path),
-              st.mine_seconds);
-  if (st.path == gogreen::core::MiningPath::kRecycled) {
+void Report(const char* request, const gogreen::serve::ServeStats& st) {
+  std::printf("%-44s -> %6llu patterns | route=%-11s %.3fs", request,
+              static_cast<unsigned long long>(st.patterns_returned),
+              gogreen::core::SeedRouteName(st.route), st.seconds);
+  if (st.route == gogreen::core::SeedRoute::kRecycle) {
     std::printf(" compress=%.3fs ratio=%.2f", st.compress_seconds,
                 st.compression_ratio);
   }
@@ -31,8 +31,11 @@ void Report(const char* request, const gogreen::core::RecyclingSession& s,
 }  // namespace
 
 int main() {
-  using gogreen::core::ConstraintSet;
-  using gogreen::core::RecyclingSession;
+  using gogreen::fpm::AbsoluteSupport;
+  using gogreen::fpm::ConstraintSet;
+  using gogreen::fpm::MineRequest;
+  using gogreen::serve::MiningService;
+  using gogreen::serve::ServeStats;
 
   // A synthetic "retail basket" dataset: 100k baskets over 5k products.
   gogreen::data::QuestConfig cfg;
@@ -53,42 +56,50 @@ int main() {
   std::printf("dataset: %zu baskets, avg %.1f items\n\n",
               db->NumTransactions(), db->AvgLength());
 
-  RecyclingSession session(std::move(db).value());
-  const size_t n = session.db().NumTransactions();
+  MiningService service(std::move(db).value(), "baskets");
+  const size_t n = service.db().NumTransactions();
+  ServeStats st;
 
-  // Round 1: a first look at 5% support.
-  auto r1 = session.MineFraction(0.05);
-  if (!r1.ok()) return 1;
-  Report("mine at support 5%", session, r1->size());
+  // Round 1: a first look at 5% support. (Scratch.)
+  if (!service.Mine(MineRequest::At(AbsoluteSupport(0.05, n)), &st).ok()) {
+    return 1;
+  }
+  Report("mine at support 5%", st);
 
   // Round 2: too few results -> relax to 2%. (Recycled!)
-  auto r2 = session.MineFraction(0.02);
-  if (!r2.ok()) return 1;
-  Report("relax support to 2%", session, r2->size());
+  if (!service.Mine(MineRequest::At(AbsoluteSupport(0.02, n)), &st).ok()) {
+    return 1;
+  }
+  Report("relax support to 2%", st);
 
-  // Round 3: too many -> tighten back to 3%. (Pure cache filter.)
-  auto r3 = session.MineFraction(0.03);
-  if (!r3.ok()) return 1;
-  Report("tighten support to 3%", session, r3->size());
+  // Round 3: too many -> tighten back to 3%. (Filtered from the 2% set.)
+  if (!service.Mine(MineRequest::At(AbsoluteSupport(0.03, n)), &st).ok()) {
+    return 1;
+  }
+  Report("tighten support to 3%", st);
 
-  // Round 4: only long associations, at least 3 items. (Filter again.)
-  ConstraintSet c4(gogreen::fpm::AbsoluteSupport(0.03, n));
-  c4.Add(gogreen::core::MakeMinLength(3));
-  auto r4 = session.Mine(c4);
-  if (!r4.ok()) return 1;
-  Report("add constraint |X| >= 3", session, r4->size());
+  // Round 4: only long associations, at least 3 items. (The cached 3% set,
+  // filtered.)
+  ConstraintSet c4(AbsoluteSupport(0.03, n));
+  c4.Add(gogreen::fpm::MakeMinLength(3));
+  MineRequest r4;
+  r4.constraints = &c4;
+  if (!service.Mine(r4, &st).ok()) return 1;
+  Report("add constraint |X| >= 3", st);
 
   // Round 5: relax support once more with the constraint kept. (Recycled.)
-  ConstraintSet c5(gogreen::fpm::AbsoluteSupport(0.01, n));
-  c5.Add(gogreen::core::MakeMinLength(3));
-  auto r5 = session.Mine(c5);
-  if (!r5.ok()) return 1;
-  Report("relax support to 1%, keep |X| >= 3", session, r5->size());
+  ConstraintSet c5(AbsoluteSupport(0.01, n));
+  c5.Add(gogreen::fpm::MakeMinLength(3));
+  MineRequest r5;
+  r5.constraints = &c5;
+  auto result = service.Mine(r5, &st);
+  if (!result.ok()) return 1;
+  Report("relax support to 1%, keep |X| >= 3", st);
 
   // Show a few of the final long patterns.
   std::printf("\nsample results:\n");
   size_t shown = 0;
-  for (const auto& p : *r5) {
+  for (const auto& p : result->patterns) {
     if (p.size() >= 4 && shown < 5) {
       std::printf("  %s\n", p.ToString().c_str());
       ++shown;

@@ -1,59 +1,46 @@
 // Multi-user scenario (Section 2: "when there are many users in a data
 // mining system, the frequent patterns discovered by one user also provide
-// opportunity for the others to recycle"). A tiny shared pattern store keeps
-// the best (lowest-threshold) complete set per dataset; new sessions seed
-// their cache from it and immediately enjoy the recycled path.
+// opportunity for the others to recycle"). Three analysts query one
+// MiningService; its shared pattern store turns each user's result into
+// the next user's seed, so later queries recycle or filter instead of
+// mining from scratch.
 //
 // Build & run:  ./build/examples/multiuser_cache
 
 #include <cstdio>
-#include <map>
 #include <string>
 
-#include "core/recycler.h"
 #include "data/quest_gen.h"
 #include "fpm/miner.h"
+#include "serve/mining_service.h"
 #include "util/timer.h"
 
 namespace {
 
-/// The shared store: dataset key -> (min support, complete pattern set).
-/// A production system would persist this; a map suffices to demonstrate
-/// the sharing protocol.
-class SharedPatternStore {
- public:
-  void Publish(const std::string& key, uint64_t min_support,
-               gogreen::fpm::PatternSet fp) {
-    auto it = entries_.find(key);
-    // Keep the most informative (lowest-threshold) set.
-    if (it == entries_.end() || min_support < it->second.min_support) {
-      entries_[key] = {min_support, std::move(fp)};
-    }
+/// One analyst's query at a support fraction, reported with its route.
+gogreen::Result<gogreen::fpm::MineResult> Query(
+    gogreen::serve::MiningService& service, const char* user,
+    double fraction) {
+  gogreen::fpm::MineRequest request = gogreen::fpm::MineRequest::At(
+      gogreen::fpm::AbsoluteSupport(fraction,
+                                    service.db().NumTransactions()));
+  request.tenant = user;
+  gogreen::serve::ServeStats st;
+  auto result = service.Mine(request, &st);
+  if (result.ok()) {
+    std::printf("%-7s: support %.1f%% -> %6zu patterns in %.3fs "
+                "(route=%s, seed=%llu)\n",
+                user, fraction * 100, result->patterns.size(), st.seconds,
+                gogreen::core::SeedRouteName(st.route),
+                static_cast<unsigned long long>(st.seed_support));
   }
-
-  /// Seeds `session` from the store; returns true if something was found.
-  bool Seed(const std::string& key,
-            gogreen::core::RecyclingSession* session) const {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return false;
-    session->SeedCache(it->second.fp, it->second.min_support);
-    return true;
-  }
-
- private:
-  struct Entry {
-    uint64_t min_support;
-    gogreen::fpm::PatternSet fp;
-  };
-  std::map<std::string, Entry> entries_;
-};
+  return result;
+}
 
 }  // namespace
 
 int main() {
   using gogreen::Timer;
-  using gogreen::core::MiningPathName;
-  using gogreen::core::RecyclingSession;
 
   gogreen::data::QuestConfig cfg;
   cfg.num_transactions = 150000;
@@ -67,57 +54,33 @@ int main() {
   cfg.seed = 20040405;
   auto db_result = gogreen::data::GenerateQuest(cfg);
   if (!db_result.ok()) return 1;
-  const gogreen::fpm::TransactionDb db = std::move(db_result).value();
-  const std::string kDatasetKey = "sales-2026-q2";
+  gogreen::serve::MiningService service(std::move(db_result).value(),
+                                        "sales-2026-q2");
 
-  SharedPatternStore store;
-
-  // --- User A explores first (pays the full initial cost). ---
-  RecyclingSession alice(db);
-  Timer ta;
-  auto ra = alice.MineFraction(0.03);
-  if (!ra.ok()) return 1;
-  std::printf("alice  : support 3.0%% -> %6zu patterns in %.3fs (path=%s)\n",
-              ra->size(), ta.ElapsedSeconds(),
-              MiningPathName(alice.last_stats().path));
-  store.Publish(kDatasetKey, alice.cached_min_support(), *ra);
-
-  // --- User B arrives later and wants a deeper cut. ---
-  RecyclingSession bob(db);
-  const bool seeded = store.Seed(kDatasetKey, &bob);
+  // User A explores first (pays the full scratch cost).
+  if (!Query(service, "alice", 0.03).ok()) return 1;
+  // User B arrives later and wants a deeper cut: recycles A's set.
   Timer tb;
-  auto rb = bob.MineFraction(0.01);
+  auto bob = Query(service, "bob", 0.01);
   const double bob_secs = tb.ElapsedSeconds();
-  if (!rb.ok()) return 1;
-  std::printf("bob    : support 1.0%% -> %6zu patterns in %.3fs (path=%s, "
-              "store hit=%s)\n",
-              rb->size(), bob_secs,
-              MiningPathName(bob.last_stats().path), seeded ? "yes" : "no");
-  store.Publish(kDatasetKey, bob.cached_min_support(), *rb);
+  if (!bob.ok()) return 1;
+  // User C benefits from B's deeper run: a filter of the cached set.
+  if (!Query(service, "carol", 0.02).ok()) return 1;
 
-  // --- User C benefits from Bob's deeper run: a pure cache filter. ---
-  RecyclingSession carol(db);
-  store.Seed(kDatasetKey, &carol);
-  Timer tc;
-  auto rc = carol.MineFraction(0.02);
-  if (!rc.ok()) return 1;
-  std::printf("carol  : support 2.0%% -> %6zu patterns in %.3fs (path=%s)\n",
-              rc->size(), tc.ElapsedSeconds(),
-              MiningPathName(carol.last_stats().path));
-
-  // --- Control: what user B would have paid without the store. ---
-  gogreen::core::RecyclerOptions scratch;
-  scratch.enable_recycling = false;
-  RecyclingSession lonely(db, scratch);
+  // Control: what user B would have paid without the shared store.
+  const uint64_t bob_support = gogreen::fpm::AbsoluteSupport(
+      0.01, service.db().NumTransactions());
   Timer tl;
-  auto rl = lonely.MineFraction(0.01);
-  if (!rl.ok()) return 1;
+  auto lonely = gogreen::fpm::CreateMiner(gogreen::fpm::MinerKind::kHMine)
+                    ->Mine(service.db(),
+                           gogreen::fpm::MineRequest::At(bob_support));
+  if (!lonely.ok()) return 1;
   const double lonely_secs = tl.ElapsedSeconds();
   std::printf("control: support 1.0%% without sharing -> %.3fs "
               "(bob saved %.1fx)\n",
               lonely_secs, bob_secs > 0 ? lonely_secs / bob_secs : 0.0);
 
-  if (rb->size() != rl->size()) {
+  if (!gogreen::fpm::PatternSet::Equal(&bob->patterns, &lonely->patterns)) {
     std::fprintf(stderr, "MISMATCH between shared and direct results\n");
     return 2;
   }

@@ -27,18 +27,19 @@ int main() {
 
   // Round 1: mine at xi_old = 3 with any substrate miner.
   auto miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto fp_old = miner->Mine(db, 3);
-  if (!fp_old.ok()) {
+  auto mined = miner->Mine(db, fpm::MineRequest::At(3));
+  if (!mined.ok()) {
     std::fprintf(stderr, "mine failed: %s\n",
-                 fp_old.status().ToString().c_str());
+                 mined.status().ToString().c_str());
     return 1;
   }
-  std::printf("patterns at xi_old=3:\n%s", fp_old->ToString().c_str());
+  const fpm::PatternSet& fp_old = mined->patterns;
+  std::printf("patterns at xi_old=3:\n%s", fp_old.ToString().c_str());
 
   // Phase 1: compress the database with the recycled patterns (MCP).
   core::CompressionStats stats;
   auto cdb = core::CompressDatabase(
-      db, *fp_old,
+      db, fp_old,
       {core::CompressionStrategy::kMcp, core::MatcherKind::kAuto}, &stats);
   if (!cdb.ok()) return 1;
   std::printf("\ncompressed: %zu groups, ratio=%.2f\n", cdb->NumGroups(),
@@ -52,17 +53,18 @@ int main() {
 
   // Phase 2: mine the compressed database at the relaxed xi_new = 2.
   auto recycler = core::CreateCompressedMiner(core::RecycleAlgo::kHMine);
-  auto fp_new = recycler->MineCompressed(*cdb, 2);
+  auto fp_new = recycler->Mine(*cdb, fpm::MineRequest::At(2));
   if (!fp_new.ok()) return 1;
 
   // Cross-check against direct mining.
-  auto direct = fpm::CreateMiner(fpm::MinerKind::kFpGrowth)->Mine(db, 2);
+  auto direct = fpm::CreateMiner(fpm::MinerKind::kFpGrowth)
+                    ->Mine(db, fpm::MineRequest::At(2));
   if (!direct.ok()) return 1;
-  fpm::PatternSet lhs = std::move(fp_new).value();
-  fpm::PatternSet rhs = std::move(direct).value();
+  const bool same =
+      fpm::PatternSet::Equal(&fp_new->patterns, &direct->patterns);
   std::printf("\nxi_new=2: %zu patterns via recycling, %zu via direct "
               "mining -> %s\n",
-              lhs.size(), rhs.size(),
-              fpm::PatternSet::Equal(&lhs, &rhs) ? "identical" : "MISMATCH");
-  return 0;
+              fp_new->patterns.size(), direct->patterns.size(),
+              same ? "identical" : "MISMATCH");
+  return same ? 0 : 2;
 }

@@ -18,24 +18,10 @@ Result<fpm::MineResult> CompressedMiner::Mine(const CompressedDb& cdb,
                            request.EffectiveMinSupport());
   GOGREEN_TRACE_SPAN("run.governor");
   const ThreadPool::ScopedThreads scoped_threads(request.threads);
-  RunContext* ctx = request.run_context;
-  run_ctx_ = ctx;  // Bound for this call only; the hook below reads it.
-  Result<fpm::PatternSet> mined = MineCompressed(cdb, minsup);
+  run_ctx_ = request.run_context;  // Bound for this call only.
+  Result<fpm::PatternSet> mined = MineImpl(cdb, minsup);
   run_ctx_ = nullptr;
-  GOGREEN_ASSIGN_OR_RETURN(
-      fpm::MineOutcome outcome,
-      fpm::FinishGovernedOutcome(std::move(mined), minsup, ctx));
-  fpm::MineResult result;
-  result.patterns = std::move(outcome.patterns);
-  result.partial = outcome.partial;
-  result.frontier_support = outcome.frontier_support;
-  result.stop_status = std::move(outcome.stop_status);
-  result.stats = stats_;
-  if (request.constraints != nullptr &&
-      request.constraints->NumConstraints() > 0) {
-    result.patterns = request.constraints->Filter(result.patterns);
-  }
-  return result;
+  return fpm::FinishMine(std::move(mined), minsup, request, stats_);
 }
 
 std::unique_ptr<CompressedMiner> CreateCompressedMiner(RecycleAlgo algo) {

@@ -24,31 +24,21 @@ class CompressedMiner {
   /// Algorithm name for reports ("rp-mine", "recycle-hm", ...).
   virtual std::string name() const = 0;
 
-  /// Complete set with support >= min_support (absolute, >= 1).
-  virtual Result<fpm::PatternSet> MineCompressed(const CompressedDb& cdb,
-                                                 uint64_t min_support) = 0;
-
-  /// The unified entry point (mirrors FrequentPatternMiner::Mine): one call
-  /// covering support, constraints, governor, and per-request parallelism.
-  /// Not virtual — wraps the MineCompressed implementation hook. Concrete
-  /// miner classes hide this overload with their MineCompressed override;
-  /// call it through the CompressedMiner interface.
+  /// Mines the patterns the request asks for (mirrors
+  /// fpm::FrequentPatternMiner::Mine): support, constraints, governor, and
+  /// per-request parallelism.
   Result<fpm::MineResult> Mine(const CompressedDb& cdb,
                                const fpm::MineRequest& request);
 
-  const fpm::MiningStats& stats() const { return stats_; }
-
  protected:
-  static Status ValidateArgs(uint64_t min_support) {
-    if (min_support == 0) {
-      return Status::InvalidArgument("min_support must be >= 1");
-    }
-    return Status::OK();
-  }
+  /// The algorithm: the complete set with support >= min_support (>= 1).
+  /// Reads the governor from run_ctx_ and leaves its counters in stats_.
+  virtual Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
+                                           uint64_t min_support) = 0;
 
   fpm::MiningStats stats_;
-  /// Governor of the in-flight Mine(cdb, request) call; bound for the span
-  /// of that call only (implementation hooks read it, never write it).
+  /// Governor of the in-flight Mine call; bound for the span of that call
+  /// only (MineImpl reads it, never writes it).
   RunContext* run_ctx_ = nullptr;
 };
 

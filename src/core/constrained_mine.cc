@@ -15,10 +15,10 @@ using fpm::Rank;
 /// The anti-monotone members of a constraint set, checkable on prefixes.
 class AntiMonotonePruner {
  public:
-  explicit AntiMonotonePruner(const ConstraintSet& constraints) {
+  explicit AntiMonotonePruner(const fpm::ConstraintSet& constraints) {
     for (size_t i = 0; i < constraints.NumConstraints(); ++i) {
       if (constraints.constraint(i).category() ==
-          ConstraintCategory::kAntiMonotone) {
+          fpm::ConstraintCategory::kAntiMonotone) {
         members_.push_back(&constraints.constraint(i));
       }
     }
@@ -26,7 +26,7 @@ class AntiMonotonePruner {
 
   /// True if the prefix fails some anti-monotone constraint (prune point).
   bool Prune(const fpm::Pattern& prefix) const {
-    for (const Constraint* c : members_) {
+    for (const fpm::Constraint* c : members_) {
       if (!c->Satisfies(prefix)) return true;
     }
     return false;
@@ -35,7 +35,7 @@ class AntiMonotonePruner {
   bool empty() const { return members_.empty(); }
 
  private:
-  std::vector<const Constraint*> members_;
+  std::vector<const fpm::Constraint*> members_;
 };
 
 /// H-Mine-style recursion with a prune hook, over rank-encoded rows.
@@ -174,14 +174,14 @@ class ConstrainedSliceMine {
 /// as a final filter. Anti-monotone members already hold by construction
 /// but re-checking is cheap and keeps Filter as the single source of truth.
 fpm::PatternSet PostFilter(const fpm::PatternSet& raw,
-                           const ConstraintSet& constraints) {
+                           const fpm::ConstraintSet& constraints) {
   return constraints.Filter(raw);
 }
 
 }  // namespace
 
 Result<fpm::PatternSet> MineConstrained(const fpm::TransactionDb& db,
-                                        const ConstraintSet& constraints,
+                                        const fpm::ConstraintSet& constraints,
                                         fpm::MiningStats* stats) {
   if (constraints.min_support() == 0) {
     return Status::InvalidArgument("min_support must be >= 1");
@@ -219,7 +219,7 @@ Result<fpm::PatternSet> MineConstrained(const fpm::TransactionDb& db,
 }
 
 Result<fpm::PatternSet> MineConstrainedCompressed(
-    const CompressedDb& cdb, const ConstraintSet& constraints,
+    const CompressedDb& cdb, const fpm::ConstraintSet& constraints,
     fpm::MiningStats* stats) {
   if (constraints.min_support() == 0) {
     return Status::InvalidArgument("min_support must be >= 1");

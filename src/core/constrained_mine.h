@@ -10,7 +10,7 @@
 #define GOGREEN_CORE_CONSTRAINED_MINE_H_
 
 #include "core/compressed_db.h"
-#include "core/constraints.h"
+#include "fpm/constraints.h"
 #include "fpm/miner.h"
 #include "fpm/transaction_db.h"
 #include "util/status.h"
@@ -22,14 +22,14 @@ namespace gogreen::core {
 /// post-filtering with the rest. Exact: equals mining the complete set and
 /// filtering, but can visit a much smaller search space.
 Result<fpm::PatternSet> MineConstrained(const fpm::TransactionDb& db,
-                                        const ConstraintSet& constraints,
+                                        const fpm::ConstraintSet& constraints,
                                         fpm::MiningStats* stats = nullptr);
 
 /// The same, over a compressed database (recycling + pushdown combined):
 /// slices are decoded lazily and subtrees failing the anti-monotone
 /// constraints are pruned before projection.
 Result<fpm::PatternSet> MineConstrainedCompressed(
-    const CompressedDb& cdb, const ConstraintSet& constraints,
+    const CompressedDb& cdb, const fpm::ConstraintSet& constraints,
     fpm::MiningStats* stats = nullptr);
 
 }  // namespace gogreen::core

@@ -2,13 +2,12 @@
 
 #include "core/compressed_miner.h"
 #include "core/compressor.h"
-#include "util/timer.h"
+#include "fpm/miner.h"
 
 namespace gogreen::core {
 
-IncrementalSession::IncrementalSession(fpm::TransactionDb db,
-                                       RecyclerOptions options)
-    : db_(std::move(db)), options_(options) {}
+IncrementalSession::IncrementalSession(fpm::TransactionDb db)
+    : db_(std::move(db)) {}
 
 void IncrementalSession::AddTransaction(std::vector<fpm::ItemId> items) {
   db_.AddTransaction(std::move(items));
@@ -38,44 +37,26 @@ size_t IncrementalSession::RemoveIf(
 }
 
 Result<fpm::PatternSet> IncrementalSession::Mine(uint64_t min_support) {
-  if (min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  last_stats_ = SessionStats();
-
-  fpm::PatternSet fp;
-  if (!has_cache_ || !options_.enable_recycling || cached_fp_.empty()) {
-    Timer timer;
-    auto miner = fpm::CreateMiner(options_.base_miner);
-    GOGREEN_ASSIGN_OR_RETURN(fp, miner->Mine(db_, min_support));
-    last_stats_.mine_seconds = timer.ElapsedSeconds();
-    last_stats_.path =
-        has_cache_ ? MiningPath::kScratch : MiningPath::kInitial;
+  const fpm::MineRequest request = fpm::MineRequest::At(min_support);
+  fpm::MineResult result;
+  last_recycled_ = !cached_fp_.empty();
+  if (!last_recycled_) {
+    GOGREEN_ASSIGN_OR_RETURN(
+        result, fpm::CreateMiner(fpm::MinerKind::kHMine)->Mine(db_, request));
   } else {
     // Compress the *current* database with the previous round's patterns.
     // Their stale supports only influence the utility ranking; the mined
     // supports come from the actual data.
-    Timer timer;
-    CompressionStats cstats;
     GOGREEN_ASSIGN_OR_RETURN(
         const CompressedDb cdb,
         CompressDatabase(db_, cached_fp_,
-                         {options_.strategy, options_.matcher}, &cstats));
-    last_stats_.compress_seconds = timer.ElapsedSeconds();
-    last_stats_.compression_ratio = cstats.Ratio();
-
-    timer.Restart();
-    auto miner = CreateCompressedMiner(options_.algo);
-    GOGREEN_ASSIGN_OR_RETURN(fp, miner->MineCompressed(cdb, min_support));
-    last_stats_.mine_seconds = timer.ElapsedSeconds();
-    last_stats_.path = MiningPath::kRecycled;
+                         {CompressionStrategy::kMcp, MatcherKind::kAuto}));
+    GOGREEN_ASSIGN_OR_RETURN(
+        result, CreateCompressedMiner(RecycleAlgo::kHMine)->Mine(cdb, request));
   }
-
-  cached_fp_ = fp;
+  cached_fp_ = result.patterns;
   has_cache_ = true;
-  last_stats_.patterns_returned = fp.size();
-  last_stats_.cached_patterns = cached_fp_.size();
-  return fp;
+  return std::move(result.patterns);
 }
 
 }  // namespace gogreen::core

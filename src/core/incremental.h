@@ -12,8 +12,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
-#include "core/recycler.h"
 #include "fpm/pattern_set.h"
 #include "fpm/transaction_db.h"
 #include "util/status.h"
@@ -23,8 +23,7 @@ namespace gogreen::core {
 /// A mining session over a database that changes between rounds.
 class IncrementalSession {
  public:
-  explicit IncrementalSession(fpm::TransactionDb db,
-                              RecyclerOptions options = {});
+  explicit IncrementalSession(fpm::TransactionDb db);
 
   /// Appends one transaction.
   void AddTransaction(std::vector<fpm::ItemId> items);
@@ -39,21 +38,22 @@ class IncrementalSession {
       const std::function<bool(fpm::Tid, fpm::ItemSpan)>& predicate);
 
   /// Mines the complete set on the current database. Recycles the most
-  /// recent result as compression units when one exists; supports are
-  /// re-counted exactly, so the answer is exact even though the cached
-  /// supports are stale.
+  /// recent result as compression units when one exists (MCP compression,
+  /// Recycle-HM); supports are re-counted exactly, so the answer is exact
+  /// even though the cached supports are stale. Without a non-empty cached
+  /// set it mines the raw database with H-Mine.
   Result<fpm::PatternSet> Mine(uint64_t min_support);
 
   const fpm::TransactionDb& db() const { return db_; }
-  const SessionStats& last_stats() const { return last_stats_; }
   bool has_cache() const { return has_cache_; }
+  /// Whether the last Mine() recycled the previous round's patterns.
+  bool last_recycled() const { return last_recycled_; }
 
  private:
   fpm::TransactionDb db_;
-  RecyclerOptions options_;
   fpm::PatternSet cached_fp_;
   bool has_cache_ = false;
-  SessionStats last_stats_;
+  bool last_recycled_ = false;
 };
 
 }  // namespace gogreen::core

@@ -63,9 +63,8 @@ class RecycleFpContext {
 
 }  // namespace
 
-Result<fpm::PatternSet> RecycleFpMiner::MineCompressed(
+Result<fpm::PatternSet> RecycleFpMiner::MineImpl(
     const CompressedDb& cdb, uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.recycle-fp");
   Timer timer;

@@ -19,8 +19,9 @@ class RecycleFpMiner : public CompressedMiner {
  public:
   std::string name() const override { return "recycle-fp"; }
 
-  Result<fpm::PatternSet> MineCompressed(const CompressedDb& cdb,
-                                         uint64_t min_support) override;
+ protected:
+  Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
+                                   uint64_t min_support) override;
 };
 
 }  // namespace gogreen::core

@@ -675,9 +675,8 @@ bool MineSlicesHM(const SliceDb& sdb, const fpm::FList& flist,
                                      /*mark_frontier=*/prefix_ranks.empty());
 }
 
-Result<fpm::PatternSet> RecycleHMineMiner::MineCompressed(
+Result<fpm::PatternSet> RecycleHMineMiner::MineImpl(
     const CompressedDb& cdb, uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.recycle-hm");
   Timer timer;

@@ -21,8 +21,9 @@ class RecycleHMineMiner : public CompressedMiner {
  public:
   std::string name() const override { return "recycle-hm"; }
 
-  Result<fpm::PatternSet> MineCompressed(const CompressedDb& cdb,
-                                         uint64_t min_support) override;
+ protected:
+  Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
+                                   uint64_t min_support) override;
 };
 
 /// Mines a slice database in memory with the Recycle-HM core, prefixing

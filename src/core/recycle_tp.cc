@@ -190,9 +190,8 @@ class RecycleTpContext {
 
 }  // namespace
 
-Result<fpm::PatternSet> RecycleTpMiner::MineCompressed(
+Result<fpm::PatternSet> RecycleTpMiner::MineImpl(
     const CompressedDb& cdb, uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.recycle-tp");
   Timer timer;

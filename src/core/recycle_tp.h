@@ -16,8 +16,9 @@ class RecycleTpMiner : public CompressedMiner {
  public:
   std::string name() const override { return "recycle-tp"; }
 
-  Result<fpm::PatternSet> MineCompressed(const CompressedDb& cdb,
-                                         uint64_t min_support) override;
+ protected:
+  Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
+                                   uint64_t min_support) override;
 };
 
 }  // namespace gogreen::core

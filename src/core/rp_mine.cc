@@ -31,9 +31,8 @@ void MineRec(SliceMiningContext* ctx, const std::vector<Slice>& slices,
 
 }  // namespace
 
-Result<fpm::PatternSet> RpMineMiner::MineCompressed(const CompressedDb& cdb,
-                                                    uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
+Result<fpm::PatternSet> RpMineMiner::MineImpl(const CompressedDb& cdb,
+                                              uint64_t min_support) {
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.rp-mine");
   Timer timer;

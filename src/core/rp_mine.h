@@ -13,8 +13,9 @@ class RpMineMiner : public CompressedMiner {
  public:
   std::string name() const override { return "rp-mine"; }
 
-  Result<fpm::PatternSet> MineCompressed(const CompressedDb& cdb,
-                                         uint64_t min_support) override;
+ protected:
+  Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
+                                   uint64_t min_support) override;
 };
 
 }  // namespace gogreen::core

@@ -17,8 +17,8 @@
 // the largest ξ below the target (fewest extra patterns to drop), recycling
 // prefers the smallest ξ above the target (the richer pattern set covers
 // more of each transaction, so the compressed image is smaller — the paper's
-// tightest-ξ_old rule). This logic is shared by core::RecyclingSession (one
-// candidate) and serve::PatternStore (many).
+// tightest-ξ_old rule). serve::MiningService applies it to the entries of
+// its serve::PatternStore.
 
 #ifndef GOGREEN_CORE_SEED_SELECTION_H_
 #define GOGREEN_CORE_SEED_SELECTION_H_

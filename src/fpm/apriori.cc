@@ -46,9 +46,8 @@ std::vector<std::vector<ItemId>> GenerateCandidates(
 
 }  // namespace
 
-Result<PatternSet> AprioriMiner::Mine(const TransactionDb& db,
-                                      uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
+Result<PatternSet> AprioriMiner::MineImpl(const TransactionDb& db,
+                                          uint64_t min_support) {
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.apriori");
   Timer timer;

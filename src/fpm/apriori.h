@@ -13,8 +13,9 @@ class AprioriMiner : public FrequentPatternMiner {
  public:
   std::string name() const override { return "apriori"; }
 
-  Result<PatternSet> Mine(const TransactionDb& db,
-                          uint64_t min_support) override;
+ protected:
+  Result<PatternSet> MineImpl(const TransactionDb& db,
+                              uint64_t min_support) override;
 };
 
 }  // namespace gogreen::fpm

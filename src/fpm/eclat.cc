@@ -131,9 +131,8 @@ bool PreferBitsets(const FList& flist, size_t num_transactions) {
 
 }  // namespace
 
-Result<PatternSet> EclatMiner::Mine(const TransactionDb& db,
-                                    uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
+Result<PatternSet> EclatMiner::MineImpl(const TransactionDb& db,
+                                        uint64_t min_support) {
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.eclat");
   Timer timer;

@@ -27,8 +27,9 @@ class EclatMiner : public FrequentPatternMiner {
 
   std::string name() const override { return "eclat"; }
 
-  Result<PatternSet> Mine(const TransactionDb& db,
-                          uint64_t min_support) override;
+ protected:
+  Result<PatternSet> MineImpl(const TransactionDb& db,
+                              uint64_t min_support) override;
 
  private:
   EclatLayout layout_;

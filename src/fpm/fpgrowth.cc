@@ -338,9 +338,8 @@ bool MineRankRowsFP(const std::vector<std::span<const Rank>>& rows,
   return ctx.Mine(tree, frequent, prefix);
 }
 
-Result<PatternSet> FpGrowthMiner::Mine(const TransactionDb& db,
-                                       uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
+Result<PatternSet> FpGrowthMiner::MineImpl(const TransactionDb& db,
+                                           uint64_t min_support) {
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.fp-growth");
   Timer timer;

@@ -18,8 +18,9 @@ class FpGrowthMiner : public FrequentPatternMiner {
  public:
   std::string name() const override { return "fp-growth"; }
 
-  Result<PatternSet> Mine(const TransactionDb& db,
-                          uint64_t min_support) override;
+ protected:
+  Result<PatternSet> MineImpl(const TransactionDb& db,
+                              uint64_t min_support) override;
 };
 
 /// Mines a projected database given as rank rows (each a span of global

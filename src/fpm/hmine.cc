@@ -321,9 +321,8 @@ check::HStructView DebugRootHStruct(const RankedDb& ranked, const FList& flist,
   return BuildRootHStructView(ranked, flist, min_support, all);
 }
 
-Result<PatternSet> HMineMiner::Mine(const TransactionDb& db,
-                                    uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
+Result<PatternSet> HMineMiner::MineImpl(const TransactionDb& db,
+                                        uint64_t min_support) {
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.h-mine");
   Timer timer;

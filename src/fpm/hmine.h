@@ -19,8 +19,9 @@ class HMineMiner : public FrequentPatternMiner {
  public:
   std::string name() const override { return "h-mine"; }
 
-  Result<PatternSet> Mine(const TransactionDb& db,
-                          uint64_t min_support) override;
+ protected:
+  Result<PatternSet> MineImpl(const TransactionDb& db,
+                              uint64_t min_support) override;
 };
 
 /// Mines a projected database given as rank-encoded rows (each ascending in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "check/check.h"
@@ -53,32 +54,36 @@ void RecordGovernorOutcome(RunContext* ctx, bool partial) {
 
 }  // namespace
 
-Result<MineOutcome> FinishGovernedOutcome(Result<PatternSet> result,
-                                          uint64_t min_support,
-                                          RunContext* ctx) {
-  if (!result.ok()) return result.status();
-  MineOutcome outcome;
-  outcome.patterns = std::move(result).value();
-  outcome.frontier_support = min_support;
+Result<MineResult> FinishMine(Result<PatternSet> mined, uint64_t min_support,
+                              const MineRequest& request,
+                              const MiningStats& stats) {
+  if (!mined.ok()) return mined.status();
+  RunContext* ctx = request.run_context;
+  MineResult result;
+  result.patterns = std::move(mined).value();
+  result.frontier_support = min_support;
   if (ctx != nullptr && ctx->incomplete()) {
-    outcome.partial = true;
-    outcome.stop_status = ctx->StopStatus();
-    outcome.frontier_support =
-        std::max(min_support, ctx->frontier_support());
+    result.partial = true;
+    result.stop_status = ctx->StopStatus();
+    result.frontier_support = std::max(min_support, ctx->frontier_support());
     // Subtrees below the frontier may have been cut mid-emission; dropping
     // everything under the frontier restores exactness (the completed
     // most-frequent-first subtrees contain every pattern at or above it).
-    outcome.patterns =
-        outcome.patterns.FilterBySupport(outcome.frontier_support);
+    result.patterns = result.patterns.FilterBySupport(result.frontier_support);
   }
-  RecordGovernorOutcome(ctx, outcome.partial);
+  RecordGovernorOutcome(ctx, result.partial);
   // Every cooperatively charged byte must be released by the time a
   // governed run reaches this epilogue (leaked ScopedBytes would starve
   // later runs sharing the budget).
   if (ctx != nullptr) {
     GOGREEN_VALIDATE_OR_DIE(check::ValidateRunContext(*ctx));
   }
-  return outcome;
+  result.stats = stats;
+  if (request.constraints != nullptr &&
+      request.constraints->NumConstraints() > 0) {
+    result.patterns = request.constraints->Filter(result.patterns);
+  }
+  return result;
 }
 
 Result<uint64_t> MineRequest::EffectiveMinSupport() const {
@@ -99,24 +104,10 @@ Result<MineResult> FrequentPatternMiner::Mine(const TransactionDb& db,
                            request.EffectiveMinSupport());
   GOGREEN_TRACE_SPAN("run.governor");
   const ThreadPool::ScopedThreads scoped_threads(request.threads);
-  RunContext* ctx = request.run_context;
-  run_ctx_ = ctx;  // Bound for this call only; the hook below reads it.
-  Result<PatternSet> mined = Mine(db, minsup);
+  run_ctx_ = request.run_context;  // Bound for this call only.
+  Result<PatternSet> mined = MineImpl(db, minsup);
   run_ctx_ = nullptr;
-  GOGREEN_ASSIGN_OR_RETURN(
-      MineOutcome outcome,
-      FinishGovernedOutcome(std::move(mined), minsup, ctx));
-  MineResult result;
-  result.patterns = std::move(outcome.patterns);
-  result.partial = outcome.partial;
-  result.frontier_support = outcome.frontier_support;
-  result.stop_status = std::move(outcome.stop_status);
-  result.stats = stats_;
-  if (request.constraints != nullptr &&
-      request.constraints->NumConstraints() > 0) {
-    result.patterns = request.constraints->Filter(result.patterns);
-  }
-  return result;
+  return FinishMine(std::move(mined), minsup, request, stats_);
 }
 
 void RecordMiningStats(const MiningStats& stats) {
@@ -181,6 +172,19 @@ uint64_t AbsoluteSupport(double fraction, size_t num_transactions) {
   uint64_t abs = static_cast<uint64_t>(std::ceil(raw - 1e-9));
   if (abs == 0) abs = 1;
   return abs;
+}
+
+Result<uint64_t> ResolveSupport(double support, size_t num_transactions) {
+  // 2^64: every double in (0, 2^64) converts to uint64_t; NaN fails both
+  // comparisons.
+  constexpr double kLimit = 18446744073709551616.0;
+  if (support > 0.0 && support < kLimit) {
+    if (support < 1.0) return AbsoluteSupport(support, num_transactions);
+    return static_cast<uint64_t>(support);
+  }
+  std::ostringstream message;
+  message << "expected a positive support below 2^64, got " << support;
+  return Status::InvalidArgument(message.str());
 }
 
 }  // namespace gogreen::fpm

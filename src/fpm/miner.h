@@ -31,49 +31,21 @@ struct MiningStats {
 /// (`mine.runs`, `mine.items_scanned`, `mine.projections_built`,
 /// `mine.patterns_emitted`, and the `mine.seconds` histogram). Miners call
 /// this once per Mine() so hot loops keep their cheap local counters; the
-/// registry view stays consistent with the `stats()` accessors.
+/// registry view stays consistent with MineResult::stats.
 void RecordMiningStats(const MiningStats& stats);
 
-/// Outcome of a governed mining run. A partial outcome is still exact: when
-/// a deadline/budget/cancel stops the run early, the governed drivers
-/// process first-level subtrees most-frequent-first, so the emitted set
-/// filtered to `frontier_support` is precisely the complete frequent set at
-/// that (higher) support — the caller can keep it, or recycle it and rerun
-/// at a tightened threshold, which is the paper's own loop.
-struct [[nodiscard]] MineOutcome {
-  PatternSet patterns;
-  /// True when the run was stopped before covering the requested support.
-  bool partial = false;
-  /// The support level the patterns are complete for. Equals the requested
-  /// min_support when the run completed; higher when partial.
-  uint64_t frontier_support = 0;
-  /// OK when complete; DeadlineExceeded / ResourceExhausted / Cancelled
-  /// when partial.
-  Status stop_status;
-};
-
-/// Shared epilogue of the governed entry points: turns a raw mined set into
-/// a MineOutcome using the context's incompleteness bookkeeping (filtering
-/// the set to the frontier support when partial) and flushes the `run.*`
-/// metrics. `ctx` may be null (never-partial passthrough).
-Result<MineOutcome> FinishGovernedOutcome(Result<PatternSet> result,
-                                          uint64_t min_support,
-                                          RunContext* ctx);
-
 /// One mining query, in full. This is the single entry shape shared by
-/// FrequentPatternMiner, core::CompressedMiner, core::RecyclingSession,
-/// serve::MiningService, and the wire protocol's serialized form
-/// (net/wire.h); the deprecated governed/attach-detach wrappers it
-/// subsumed are gone. All referenced objects are
-/// borrowed: they must outlive the call, and the request itself is a cheap
-/// value (copying it never copies a constraint set or a context).
+/// FrequentPatternMiner, core::CompressedMiner, serve::MiningService, and
+/// the wire protocol's serialized form (net/wire.h). All referenced objects
+/// are borrowed: they must outlive the call, and the request itself is a
+/// cheap value (copying it never copies a constraint set or a context).
 struct MineRequest {
   /// Absolute support threshold (>= 1). When `constraints` also carries a
   /// minimum support, the effective threshold is the maximum of the two —
   /// either field may be left 0 if the other supplies it.
   uint64_t min_support = 0;
   /// Optional non-support constraints, applied as a final filter (the
-  /// mined set is support-complete; see core/recycler.h). Not owned.
+  /// mined set is support-complete). Not owned.
   const ConstraintSet* constraints = nullptr;
   /// Optional run governor (deadline / memory budget / cancel). Not owned.
   RunContext* run_context = nullptr;
@@ -104,8 +76,15 @@ struct MineRequest {
 };
 
 /// Everything a mining call produces: the pattern set, the governed outcome
-/// (partial flag + exact frontier, as in MineOutcome), and the work
-/// counters of the run. The single result shape of the MineRequest API.
+/// (partial flag + exact frontier), and the work counters of the run. The
+/// single result shape of the MineRequest API.
+///
+/// A partial result is still exact: when a deadline/budget/cancel stops the
+/// run early, the governed drivers process first-level subtrees
+/// most-frequent-first, so the emitted set filtered to `frontier_support`
+/// is precisely the complete frequent set at that (higher) support — the
+/// caller can keep it, or recycle it and rerun at a tightened threshold,
+/// which is the paper's own loop.
 struct [[nodiscard]] MineResult {
   PatternSet patterns;
   /// True when a governor stopped the run before covering the requested
@@ -118,13 +97,22 @@ struct [[nodiscard]] MineResult {
   /// OK when complete; DeadlineExceeded / ResourceExhausted / Cancelled
   /// when partial.
   Status stop_status;
-  /// Work counters of this run (same data as the miner's stats()).
+  /// Work counters of this run.
   MiningStats stats;
 };
 
-/// Interface implemented by every complete-set frequent-pattern miner.
-/// Implementations are stateful only through `stats()`, which reflects the
-/// most recent Mine() call; a single miner instance may be reused serially.
+/// The epilogue both miner interfaces' Mine(…, request) share: turns the
+/// implementation hook's raw set into a MineResult carrying `stats`. When
+/// the request's governor stopped the run, the set is filtered to the
+/// frontier support (subtrees below it may have been cut mid-emission);
+/// then the request's constraints are applied and the `run.*` metrics
+/// flushed. `min_support` is the request's effective support.
+Result<MineResult> FinishMine(Result<PatternSet> mined, uint64_t min_support,
+                              const MineRequest& request,
+                              const MiningStats& stats);
+
+/// Interface implemented by every complete-set frequent-pattern miner. A
+/// single miner instance may be reused serially.
 class FrequentPatternMiner {
  public:
   virtual ~FrequentPatternMiner() = default;
@@ -132,38 +120,24 @@ class FrequentPatternMiner {
   /// Algorithm name for reports ("apriori", "h-mine", ...).
   virtual std::string name() const = 0;
 
-  /// Mines the complete set of patterns with support >= min_support
-  /// (absolute count, must be >= 1). Singletons are included; the empty
-  /// pattern is not. Patterns are returned in canonical item order but the
-  /// set itself is in algorithm order — call SortCanonical() to compare.
-  virtual Result<PatternSet> Mine(const TransactionDb& db,
-                                  uint64_t min_support) = 0;
-
-  /// The unified entry point: one call covering support, constraints,
-  /// governor, and per-request parallelism (see MineRequest). Miners
-  /// without governed paths (Apriori, Eclat) ignore the governor and run
-  /// to completion. Not virtual — it wraps the Mine(db, min_support)
-  /// implementation hook with the shared prologue/epilogue. Note: concrete
-  /// miner classes hide this overload with their Mine(db, min_support)
-  /// override; call it through the FrequentPatternMiner interface.
+  /// Mines the complete set of patterns the request asks for: support,
+  /// constraints, governor, and per-request parallelism (see MineRequest).
+  /// Singletons are included; the empty pattern is not. Patterns are in
+  /// canonical item order but the set itself is in algorithm order — call
+  /// SortCanonical() to compare. Miners without governed paths (Apriori,
+  /// Eclat) ignore the governor and run to completion.
   Result<MineResult> Mine(const TransactionDb& db,
                           const MineRequest& request);
 
-  /// Counters of the most recent Mine() call.
-  const MiningStats& stats() const { return stats_; }
-
  protected:
-  /// Shared argument validation; implementations call this first.
-  static Status ValidateArgs(uint64_t min_support) {
-    if (min_support == 0) {
-      return Status::InvalidArgument("min_support must be >= 1");
-    }
-    return Status::OK();
-  }
+  /// The algorithm: the complete set with support >= min_support (>= 1).
+  /// Reads the governor from run_ctx_ and leaves its counters in stats_.
+  virtual Result<PatternSet> MineImpl(const TransactionDb& db,
+                                      uint64_t min_support) = 0;
 
   MiningStats stats_;
-  /// Governor of the in-flight Mine(db, request) call; bound for the span
-  /// of that call only (implementation hooks read it, never write it).
+  /// Governor of the in-flight Mine call; bound for the span of that call
+  /// only (MineImpl reads it, never writes it).
   RunContext* run_ctx_ = nullptr;
 };
 
@@ -185,6 +159,12 @@ const char* MinerKindName(MinerKind kind);
 /// Converts a relative support fraction (0 < frac <= 1) to the absolute count
 /// used by the miners, rounding up and clamping to at least 1.
 uint64_t AbsoluteSupport(double fraction, size_t num_transactions);
+
+/// Resolves a user-supplied support: below 1.0 it is a fraction of
+/// `num_transactions` (AbsoluteSupport), otherwise an absolute count
+/// (truncated). InvalidArgument, naming the value, when it is not positive,
+/// not finite, or not below 2^64.
+Result<uint64_t> ResolveSupport(double support, size_t num_transactions);
 
 }  // namespace gogreen::fpm
 

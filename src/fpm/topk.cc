@@ -22,8 +22,9 @@ Result<PatternSet> MineTopK(const TransactionDb& db,
       std::max<uint64_t>(1, db.NumTransactions() / 2);
   PatternSet qualified;
   while (true) {
-    GOGREEN_ASSIGN_OR_RETURN(PatternSet mined, miner->Mine(db, threshold));
-    qualified = mined.FilterByMinLength(options.min_length);
+    GOGREEN_ASSIGN_OR_RETURN(MineResult mined,
+                             miner->Mine(db, MineRequest::At(threshold)));
+    qualified = mined.patterns.FilterByMinLength(options.min_length);
     if (qualified.size() >= options.k || threshold == 1) break;
     threshold = threshold > 1 ? threshold / 2 : 1;
   }

@@ -351,9 +351,8 @@ class TpContext {
 
 }  // namespace
 
-Result<PatternSet> TreeProjectionMiner::Mine(const TransactionDb& db,
-                                             uint64_t min_support) {
-  GOGREEN_RETURN_NOT_OK(ValidateArgs(min_support));
+Result<PatternSet> TreeProjectionMiner::MineImpl(const TransactionDb& db,
+                                                 uint64_t min_support) {
   stats_.Reset();
   GOGREEN_TRACE_SPAN("mine.tree-projection");
   Timer timer;

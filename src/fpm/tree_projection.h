@@ -14,8 +14,9 @@ class TreeProjectionMiner : public FrequentPatternMiner {
  public:
   std::string name() const override { return "tree-projection"; }
 
-  Result<PatternSet> Mine(const TransactionDb& db,
-                          uint64_t min_support) override;
+ protected:
+  Result<PatternSet> MineImpl(const TransactionDb& db,
+                              uint64_t min_support) override;
 };
 
 }  // namespace gogreen::fpm

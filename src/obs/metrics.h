@@ -13,7 +13,7 @@
 //     struct that serializes to JSON (`MetricsSnapshot::ToJson()`).
 //
 // Metric naming scheme: `<subsystem>.<what>` in snake_case, e.g.
-// `mine.items_scanned`, `compress.groups_formed`, `recycle.cache_hits`,
+// `mine.items_scanned`, `compress.groups_formed`, `serve.cache_hits`,
 // `process.peak_rss_bytes`. Histograms of durations end in `_seconds`.
 
 #ifndef GOGREEN_OBS_METRICS_H_

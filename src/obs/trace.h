@@ -9,7 +9,7 @@
 // micro_substrate; spans are placed at phase granularity, never per item).
 //
 // Span naming convention mirrors the metric scheme: `<subsystem>.<phase>`,
-// e.g. `mine.h-mine`, `compress.cover`, `recycle.filter`. Nested spans are
+// e.g. `mine.h-mine`, `compress.cover`, `serve.lookup`. Nested spans are
 // recorded with their depth so the Chrome export reconstructs the stack.
 
 #ifndef GOGREEN_OBS_TRACE_H_

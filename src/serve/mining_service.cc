@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/compressed_miner.h"
 #include "core/compressor.h"
 #include "obs/metrics.h"
 #include "obs/request_log.h"
@@ -17,6 +18,11 @@
 namespace gogreen::serve {
 
 namespace {
+
+/// The recycle route's adapted algorithm and the compressor's matcher.
+/// Fixed, not options: no caller chooses them.
+constexpr core::RecycleAlgo kRecycleAlgo = core::RecycleAlgo::kHMine;
+constexpr core::MatcherKind kMatcher = core::MatcherKind::kAuto;
 
 /// Flushes the request into the serve.* counters. `serve.requests` and the
 /// per-route counters count only completed (ok or partial) requests, so
@@ -213,17 +219,8 @@ Result<fpm::MineResult> MiningService::MineCoalesced(
     uint64_t min_support, const fpm::MineRequest& request,
     const std::string& fingerprint, RunContext* ctx, ServeStats* stats) {
   // Fast path: an exact cached answer needs no rendezvous.
-  {
-    GOGREEN_TRACE_SPAN("serve.lookup");
-    const StoreKey exact_key{dataset_id_, fingerprint, min_support};
-    if (auto cached = store_.Get(exact_key); cached != nullptr) {
-      fpm::MineResult result;
-      result.patterns = *cached;
-      result.frontier_support = min_support;
-      stats->route = core::SeedRoute::kExact;
-      stats->seed_support = min_support;
-      return result;
-    }
+  if (auto hit = LookupExact({dataset_id_, fingerprint, min_support}, stats)) {
+    return *std::move(hit);
   }
 
   // The rendezvous key classifies the governor from the *caller's* context
@@ -342,23 +339,20 @@ Result<fpm::MineResult> MiningService::MineRouted(
     uint64_t min_support, const fpm::MineRequest& request,
     const std::string& fingerprint, RunContext* ctx, ServeStats* stats) {
   // Exact hit on the (possibly constrained) key: no mining, no filtering.
-  {
-    GOGREEN_TRACE_SPAN("serve.lookup");
-    const StoreKey exact_key{dataset_id_, fingerprint, min_support};
-    if (auto cached = store_.Get(exact_key); cached != nullptr) {
-      fpm::MineResult result;
-      result.patterns = *cached;
-      result.frontier_support = min_support;
-      stats->route = core::SeedRoute::kExact;
-      stats->seed_support = min_support;
-      return result;
-    }
+  // Checked again after the fast path: a flight that retired in between
+  // may have stored this key.
+  if (auto hit = LookupExact({dataset_id_, fingerprint, min_support}, stats)) {
+    return *std::move(hit);
   }
 
-  GOGREEN_ASSIGN_OR_RETURN(fpm::MineResult result,
-                           MineSupportComplete(min_support, ctx, stats));
-  if (request.constraints != nullptr &&
-      request.constraints->NumConstraints() > 0) {
+  // An unconstrained request's key is the support-complete key itself, so
+  // only a constrained one still needs that lookup.
+  const bool constrained = request.constraints != nullptr &&
+                           request.constraints->NumConstraints() > 0;
+  GOGREEN_ASSIGN_OR_RETURN(
+      fpm::MineResult result,
+      MineSupportComplete(min_support, /*lookup=*/constrained, ctx, stats));
+  if (constrained) {
     GOGREEN_TRACE_SPAN("serve.constrain");
     result.patterns = request.constraints->Filter(result.patterns);
     // Cache the filtered set under its fingerprint for exact repeats; only
@@ -371,19 +365,24 @@ Result<fpm::MineResult> MiningService::MineRouted(
   return result;
 }
 
+std::optional<fpm::MineResult> MiningService::LookupExact(
+    const StoreKey& key, ServeStats* stats) {
+  GOGREEN_TRACE_SPAN("serve.lookup");
+  auto cached = store_.Get(key);
+  if (cached == nullptr) return std::nullopt;
+  fpm::MineResult result;
+  result.patterns = *cached;
+  result.frontier_support = key.min_support;
+  stats->route = core::SeedRoute::kExact;
+  stats->seed_support = key.min_support;
+  return result;
+}
+
 Result<fpm::MineResult> MiningService::MineSupportComplete(
-    uint64_t min_support, RunContext* ctx, ServeStats* stats) {
+    uint64_t min_support, bool lookup, RunContext* ctx, ServeStats* stats) {
   const StoreKey key{dataset_id_, "", min_support};
-  {
-    GOGREEN_TRACE_SPAN("serve.lookup");
-    if (auto cached = store_.Get(key); cached != nullptr) {
-      fpm::MineResult result;
-      result.patterns = *cached;
-      result.frontier_support = min_support;
-      stats->route = core::SeedRoute::kExact;
-      stats->seed_support = min_support;
-      return result;
-    }
+  if (lookup) {
+    if (auto hit = LookupExact(key, stats)) return *std::move(hit);
   }
 
   const core::SeedChoice choice =
@@ -444,7 +443,7 @@ Result<fpm::MineResult> MiningService::MineRecycledFrom(
     core::CompressionStats cstats;
     core::CompressorOptions copts;
     copts.strategy = options_.strategy;
-    copts.matcher = options_.matcher;
+    copts.matcher = kMatcher;
     copts.run_context = ctx;
     GOGREEN_ASSIGN_OR_RETURN(core::CompressedDb built,
                              core::CompressDatabase(db_, *seed, copts,
@@ -459,7 +458,7 @@ Result<fpm::MineResult> MiningService::MineRecycledFrom(
   stats->route = core::SeedRoute::kRecycle;
   stats->seed_support = seed_key.min_support;
   GOGREEN_TRACE_SPAN("serve.recycle_mine");
-  auto miner = core::CreateCompressedMiner(options_.algo);
+  auto miner = core::CreateCompressedMiner(kRecycleAlgo);
   fpm::MineRequest subrequest = fpm::MineRequest::At(min_support);
   subrequest.run_context = ctx;
   GOGREEN_ASSIGN_OR_RETURN(fpm::MineResult result,

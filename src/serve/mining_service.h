@@ -12,13 +12,12 @@
 //                       and mine the compressed image (Recycle-*).
 //   4. scratch        — nothing usable: mine the raw database.
 //
-// The seed among multiple cached sets is picked by core::SelectSeed — the
-// same policy the single-cache RecyclingSession uses. Every mined result is
-// written back to the store (at its frontier support when a governor stopped
-// the run early — a partial result is still exact at the frontier, so later
-// queries recycle it, the paper's own loop). Constrained queries are served
-// from support-complete sets and post-filtered; the filtered set is also
-// cached under its fingerprint for exact repeats.
+// The seed among multiple cached sets is picked by core::SelectSeed. Every
+// mined result is written back to the store (at its frontier support when a
+// governor stopped the run early — a partial result is still exact at the
+// frontier, so later queries recycle it, the paper's own loop). Constrained
+// queries are served from support-complete sets and post-filtered; the
+// filtered set is also cached under its fingerprint for exact repeats.
 //
 // Thread-safe and single-flight (DESIGN.md §13): concurrent Mine() calls
 // share the sharded store, and identical in-flight requests — same
@@ -37,12 +36,13 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/recycler.h"
+#include "core/compressor.h"
 #include "core/seed_selection.h"
 #include "fpm/miner.h"
 #include "fpm/transaction_db.h"
@@ -54,12 +54,9 @@ namespace gogreen::serve {
 
 struct ServiceOptions {
   PatternStore::Options store;
-  /// Algorithm choices, shared with the session-level recycler: base miner
-  /// for scratch rounds, compression strategy/matcher, and the adapted
-  /// algorithm for compressed images.
+  /// Compression strategy of the recycle route (MCP wins in the paper).
   core::CompressionStrategy strategy = core::CompressionStrategy::kMcp;
-  core::MatcherKind matcher = core::MatcherKind::kAuto;
-  core::RecycleAlgo algo = core::RecycleAlgo::kHMine;
+  /// Algorithm of the scratch route.
   fpm::MinerKind base_miner = fpm::MinerKind::kHMine;
 };
 
@@ -154,10 +151,14 @@ class MiningService {
                                      const fpm::MineRequest& request,
                                      const std::string& fingerprint,
                                      RunContext* ctx, ServeStats* stats);
+  /// The store's set at `key` as an exact-route answer, or nullopt.
+  std::optional<fpm::MineResult> LookupExact(const StoreKey& key,
+                                             ServeStats* stats);
   /// The support-complete set at `min_support` (fingerprint ""), via the
-  /// cheapest route. `stats` accumulates route bookkeeping.
+  /// cheapest route. `lookup` says whether to try the exact key first (the
+  /// caller may just have). `stats` accumulates route bookkeeping.
   Result<fpm::MineResult> MineSupportComplete(uint64_t min_support,
-                                              RunContext* ctx,
+                                              bool lookup, RunContext* ctx,
                                               ServeStats* stats);
   Result<fpm::MineResult> MineRecycledFrom(const StoreKey& seed_key,
                                            uint64_t min_support,

@@ -12,16 +12,6 @@ namespace gogreen::serve {
 
 namespace {
 
-/// Resolves the wire support field: < 1.0 is a fraction of the database,
-/// otherwise an absolute count (same rule the CLI flag uses).
-Result<uint64_t> ResolveSupport(double support, size_t num_transactions) {
-  if (support <= 0.0) {
-    return Status::InvalidArgument("mine expects a positive support");
-  }
-  if (support < 1.0) return fpm::AbsoluteSupport(support, num_transactions);
-  return static_cast<uint64_t>(support);
-}
-
 /// Copies the ServeStats view of one finished request onto the response.
 void FillFromStats(const ServeStats& stats, net::WireResponse* resp) {
   resp->route = core::SeedRouteName(stats.route);
@@ -122,7 +112,7 @@ net::WireResponse WireSession::Handle(const net::WireRequest& request) {
 
 net::WireResponse WireSession::HandleMine(const net::WireRequest& request) {
   const auto minsup_or =
-      ResolveSupport(request.support, service_.db().NumTransactions());
+      fpm::ResolveSupport(request.support, service_.db().NumTransactions());
   if (!minsup_or.ok()) {
     return net::MakeErrorResponse(request.id, minsup_or.status());
   }

@@ -19,6 +19,7 @@
 #include "fpm/hmine.h"
 #include "fpm/miner.h"
 #include "fpm/transaction_db.h"
+#include "tests/test_util.h"
 #include "util/run_context.h"
 
 namespace gogreen {
@@ -29,6 +30,7 @@ using fpm::ItemId;
 using fpm::RankedDb;
 using fpm::Tid;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 
 TransactionDb SmallDb() {
   TransactionDb db;
@@ -70,7 +72,7 @@ TEST(CheckHealthyTest, AllExampleDatasets) {
     EXPECT_TRUE(check::ValidateFpTree(tree, min_support).ok()) << spec.name;
 
     auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-    Result<fpm::PatternSet> fp = miner->Mine(db, min_support);
+    Result<fpm::PatternSet> fp = MinePatterns(*miner, db, min_support);
     ASSERT_TRUE(fp.ok()) << spec.name;
     Result<core::CompressedDb> cdb =
         core::CompressDatabase(db, *fp, core::CompressorOptions{});

@@ -105,6 +105,14 @@ if "$BIN" mine -i "$DIR/data.dat" -s -0.5 >/dev/null 2>"$DIR/err"; then
 fi
 grep -q "positive support" "$DIR/err" || fail "negative -s: wrong error"
 
+# a support that is not finite or not below 2^64 is a usage error that
+# names the value, not a cast of an out-of-range double
+for bad in nan:nan inf:inf 1e300:1e+300; do  # <flag value>:<as printed>
+  expect_exit 64 "$BIN" mine -i "$DIR/data.dat" -s "${bad%%:*}"
+  "$BIN" mine -i "$DIR/data.dat" -s "${bad%%:*}" >/dev/null 2>"$DIR/err" || true
+  grep -qF "got ${bad#*:}" "$DIR/err" || fail "-s $bad: error does not name it"
+done
+
 # session mode: a scripted relax-support sweep must take every route through
 # the pattern store — scratch, recycle, exact hit, filter-down — and say so
 cat > "$DIR/session.txt" <<'EOF'
@@ -143,6 +151,8 @@ ROUTES=$(grep -c "route=exact" "$SESS_OUT") || true
 printf 'mine 0.05\nfrobnicate\n' > "$DIR/bad_session.txt"
 expect_exit 64 "$BIN" session -i "$DIR/data.dat" --script "$DIR/bad_session.txt"
 expect_exit 64 "$BIN" session -i "$DIR/data.dat" --store-mb 0  # bad budget
+printf 'mine nan\n' > "$DIR/nan_session.txt"
+expect_exit 64 "$BIN" session -i "$DIR/data.dat" --script "$DIR/nan_session.txt"
 expect_exit 74 "$BIN" session -i /nonexistent.dat --script "$DIR/session.txt"
 
 # daemon mode: serve on a unix socket, drive it with the client, then
@@ -160,6 +170,9 @@ for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
     || fail "client scratch mine"
 "$BIN" client --socket "$SOCK" --mine 0.05 | grep -q "route=exact" \
     || fail "client exact hit"
+expect_exit 64 "$BIN" client --socket "$SOCK" --mine 1e300
+"$BIN" client --socket "$SOCK" --mine 1e300 >/dev/null 2>"$DIR/err" || true
+grep -qF "got 1e+300" "$DIR/err" || fail "client --mine 1e300: value not named"
 
 # the client script mode is the same command language as `session`,
 # including the sticky tenant; save/load stay local-only over the wire

@@ -16,6 +16,7 @@ using fpm::ItemId;
 using fpm::ItemSpan;
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::PaperExampleDb;
 using testutil::RandomDb;
 using testutil::RandomDenseDb;
@@ -23,7 +24,7 @@ using testutil::RandomDenseDb;
 /// FP at xi_old = 3 for the paper's Table 1 database (complete set).
 PatternSet PaperFp() {
   auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-  auto result = miner->Mine(PaperExampleDb(), 3);
+  auto result = MinePatterns(*miner, PaperExampleDb(), 3);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
 }
@@ -139,7 +140,7 @@ TEST(CompressorTest, MatchersProduceIdenticalAssignments) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const TransactionDb db = RandomDb(seed, 400, 60, 7.0);
     auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-    auto fp = miner->Mine(db, 20);
+    auto fp = MinePatterns(*miner, db, 20);
     ASSERT_TRUE(fp.ok());
     for (CompressionStrategy strategy :
          {CompressionStrategy::kMcp, CompressionStrategy::kMlp}) {
@@ -167,7 +168,7 @@ TEST(CompressorTest, LosslessPropertyOnRandomDbs) {
     const TransactionDb db =
         dense ? RandomDenseDb(seed, 150, 10, 3) : RandomDb(seed, 300, 50, 6.0);
     auto miner = fpm::CreateMiner(fpm::MinerKind::kEclat);
-    auto fp = miner->Mine(db, dense ? 70 : 15);
+    auto fp = MinePatterns(*miner, db, dense ? 70 : 15);
     ASSERT_TRUE(fp.ok());
     for (CompressionStrategy strategy :
          {CompressionStrategy::kMcp, CompressionStrategy::kMlp}) {
@@ -189,7 +190,7 @@ TEST(CompressorTest, MlpCompressesAtLeastAsWellAsMcpUsually) {
   // to pin the behaviour.
   const TransactionDb db = RandomDb(42, 800, 40, 8.0);
   auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-  auto fp = miner->Mine(db, 40);
+  auto fp = MinePatterns(*miner, db, 40);
   ASSERT_TRUE(fp.ok());
   CompressionStats mcp_stats;
   CompressionStats mlp_stats;

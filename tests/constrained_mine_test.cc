@@ -12,15 +12,23 @@
 namespace gogreen::core {
 namespace {
 
+using fpm::ConstraintSet;
 using fpm::ItemId;
+using fpm::MakeItemSubset;
+using fpm::MakeMaxLength;
+using fpm::MakeMaxSum;
+using fpm::MakeMinAvg;
+using fpm::MakeMinLength;
+using fpm::MakeRequiresAny;
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::RandomDb;
 
 /// Ground truth: complete mine then filter.
 PatternSet Expected(const TransactionDb& db, const ConstraintSet& cs) {
-  auto fp = fpm::CreateMiner(fpm::MinerKind::kFpGrowth)
-                ->Mine(db, cs.min_support());
+  auto fp = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kFpGrowth), db,
+                         cs.min_support());
   EXPECT_TRUE(fp.ok());
   return cs.Filter(*fp);
 }
@@ -102,7 +110,7 @@ TEST(ConstrainedMineTest, MixedCategories) {
 
 TEST(ConstrainedMineTest, CompressedVariantExact) {
   const TransactionDb db = RandomDb(96, 400, 40, 6.0);
-  auto fp_old = fpm::CreateMiner(fpm::MinerKind::kHMine)->Mine(db, 40);
+  auto fp_old = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kHMine), db, 40);
   ASSERT_TRUE(fp_old.ok());
   auto cdb = CompressDatabase(
       db, *fp_old, {CompressionStrategy::kMcp, MatcherKind::kAuto});
@@ -143,7 +151,7 @@ TEST(ConstrainedMineTest, NoConstraintsEqualsPlainMining) {
   ConstraintSet cs(12);
   auto got = MineConstrained(db, cs);
   ASSERT_TRUE(got.ok());
-  auto plain = fpm::CreateMiner(fpm::MinerKind::kHMine)->Mine(db, 12);
+  auto plain = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kHMine), db, 12);
   ASSERT_TRUE(plain.ok());
   PatternSet a = std::move(got).value();
   PatternSet b = std::move(plain).value();

@@ -1,14 +1,12 @@
 // Tests for the constraint framework (Section 2): categories, satisfaction,
 // tighten/relax classification, and set-level comparison.
 
-#include "core/constraints.h"
+#include "fpm/constraints.h"
 
 #include <gtest/gtest.h>
 
-namespace gogreen::core {
+namespace gogreen::fpm {
 namespace {
-
-using fpm::Pattern;
 
 TEST(ConstraintsTest, MaxLengthIsAntiMonotone) {
   auto c = MakeMaxLength(2);
@@ -90,14 +88,14 @@ TEST(ConstraintsTest, MinAvgIsConvertible) {
 }
 
 TEST(ConstraintSetTest, FilterAppliesSupportAndConstraints) {
-  fpm::PatternSet fp;
+  PatternSet fp;
   fp.Add({1}, 10);
   fp.Add({1, 2}, 8);
   fp.Add({1, 2, 3}, 4);
   fp.Add({2, 3}, 9);
   ConstraintSet cs(5);
   cs.Add(MakeMinLength(2));
-  const fpm::PatternSet out = cs.Filter(fp);
+  const PatternSet out = cs.Filter(fp);
   EXPECT_EQ(out.size(), 2u);  // {1,2}:8 and {2,3}:9.
 }
 
@@ -146,4 +144,4 @@ TEST(ConstraintSetTest, DescribeMentionsEveryPart) {
 }
 
 }  // namespace
-}  // namespace gogreen::core
+}  // namespace gogreen::fpm

@@ -11,6 +11,7 @@
 #include "data/dense_gen.h"
 #include "data/quest_gen.h"
 #include "fpm/miner.h"
+#include "tests/test_util.h"
 #include "util/env.h"
 
 namespace gogreen::data {
@@ -18,6 +19,7 @@ namespace {
 
 using fpm::ItemId;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 
 std::string TempPath(const char* name) {
   return TempDir() + "/" + name + std::to_string(::getpid()) + ".dat";
@@ -180,7 +182,7 @@ TEST(QuestGenTest, ProducesFrequentPatterns) {
   auto db = GenerateQuest(cfg);
   ASSERT_TRUE(db.ok());
   auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-  auto fp = miner->Mine(*db, fpm::AbsoluteSupport(0.05, 3000));
+  auto fp = MinePatterns(*miner, *db, fpm::AbsoluteSupport(0.05, 3000));
   ASSERT_TRUE(fp.ok());
   EXPECT_GT(fp->size(), 5u);
   EXPECT_GE(fp->MaxLength(), 2u);
@@ -269,8 +271,8 @@ TEST(DatasetsTest, RecyclablePatternsExistAtXiOld) {
     auto db = MakeDataset(id, BenchScale::kSmoke);
     ASSERT_TRUE(db.ok());
     auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-    auto fp = miner->Mine(
-        *db, fpm::AbsoluteSupport(spec.xi_old, db->NumTransactions()));
+    auto fp = MinePatterns(
+        *miner, *db, fpm::AbsoluteSupport(spec.xi_old, db->NumTransactions()));
     ASSERT_TRUE(fp.ok());
     EXPECT_GT(fp->size(), 10u);
   }

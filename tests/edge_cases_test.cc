@@ -6,9 +6,10 @@
 
 #include "core/compressed_miner.h"
 #include "core/compressor.h"
-#include "core/recycler.h"
+#include "core/seed_selection.h"
 #include "fpm/hmine.h"
 #include "fpm/miner.h"
+#include "serve/mining_service.h"
 #include "tests/test_util.h"
 
 namespace gogreen {
@@ -24,6 +25,7 @@ using fpm::ItemId;
 using fpm::PatternSet;
 using fpm::Rank;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 
 constexpr RecycleAlgo kAllRecycleAlgos[] = {
     RecycleAlgo::kNaive, RecycleAlgo::kHMine, RecycleAlgo::kFpGrowth,
@@ -39,7 +41,7 @@ TEST(EdgeCasesTest, AllIdenticalTransactions) {
   for (int i = 0; i < 50; ++i) db.AddTransaction({2, 4, 6, 8});
   for (fpm::MinerKind kind : kAllMiners) {
     SCOPED_TRACE(fpm::MinerKindName(kind));
-    auto result = fpm::CreateMiner(kind)->Mine(db, 50);
+    auto result = MinePatterns(*fpm::CreateMiner(kind), db, 50);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->size(), 15u);  // 2^4 - 1.
     for (const auto& p : *result) EXPECT_EQ(p.support, 50u);
@@ -49,7 +51,7 @@ TEST(EdgeCasesTest, AllIdenticalTransactions) {
 TEST(EdgeCasesTest, IdenticalTransactionsRecycledIsSingleGroup) {
   TransactionDb db;
   for (int i = 0; i < 50; ++i) db.AddTransaction({2, 4, 6, 8});
-  auto fp = fpm::CreateMiner(fpm::MinerKind::kEclat)->Mine(db, 50);
+  auto fp = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kEclat), db, 50);
   ASSERT_TRUE(fp.ok());
   auto cdb = CompressDatabase(db, *fp,
                               {CompressionStrategy::kMcp, MatcherKind::kAuto});
@@ -59,12 +61,12 @@ TEST(EdgeCasesTest, IdenticalTransactionsRecycledIsSingleGroup) {
 
   for (RecycleAlgo algo : kAllRecycleAlgos) {
     SCOPED_TRACE(RecycleAlgoName(algo));
-    auto miner = CreateCompressedMiner(algo);
-    auto result = miner->MineCompressed(*cdb, 10);
+    auto result =
+        CreateCompressedMiner(algo)->Mine(*cdb, fpm::MineRequest::At(10));
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->size(), 15u);
+    EXPECT_EQ(result->patterns.size(), 15u);
     // The single-group shortcut must avoid building any projection.
-    EXPECT_EQ(miner->stats().projections_built, 0u);
+    EXPECT_EQ(result->stats.projections_built, 0u);
   }
 }
 
@@ -76,7 +78,7 @@ TEST(EdgeCasesTest, SingletonTransactionsOnly) {
   }
   for (fpm::MinerKind kind : kAllMiners) {
     SCOPED_TRACE(fpm::MinerKindName(kind));
-    auto result = fpm::CreateMiner(kind)->Mine(db, 2);
+    auto result = MinePatterns(*fpm::CreateMiner(kind), db, 2);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->size(), 10u);
   }
@@ -86,7 +88,7 @@ TEST(EdgeCasesTest, MinSupportOneEnumeratesEverything) {
   TransactionDb db = testutil::MakeDb({{1, 2}, {3}});
   for (fpm::MinerKind kind : kAllMiners) {
     SCOPED_TRACE(fpm::MinerKindName(kind));
-    auto result = fpm::CreateMiner(kind)->Mine(db, 1);
+    auto result = MinePatterns(*fpm::CreateMiner(kind), db, 1);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->size(), 4u);  // {1},{2},{1,2},{3}.
   }
@@ -96,7 +98,7 @@ TEST(EdgeCasesTest, LargeItemIdsHandled) {
   TransactionDb db;
   db.AddTransaction({1000000, 2000000});
   db.AddTransaction({1000000, 2000000});
-  auto result = fpm::CreateMiner(fpm::MinerKind::kHMine)->Mine(db, 2);
+  auto result = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kHMine), db, 2);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 3u);
   EXPECT_EQ(result->SupportOf(std::vector<ItemId>{1000000, 2000000}), 2u);
@@ -113,7 +115,7 @@ TEST(EdgeCasesTest, RecyclingWithPatternsMissingFromDb) {
   ASSERT_TRUE(cdb.ok());
   for (RecycleAlgo algo : kAllRecycleAlgos) {
     SCOPED_TRACE(RecycleAlgoName(algo));
-    auto result = CreateCompressedMiner(algo)->MineCompressed(*cdb, 2);
+    auto result = MinePatterns(*CreateCompressedMiner(algo), *cdb, 2);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->SupportOf(std::vector<ItemId>{1, 2}), 2u);
   }
@@ -133,7 +135,7 @@ TEST(EdgeCasesTest, GroupWithEntirelyInfrequentOutlyingParts) {
   ASSERT_TRUE(cdb.ok());
   for (RecycleAlgo algo : kAllRecycleAlgos) {
     SCOPED_TRACE(RecycleAlgoName(algo));
-    auto result = CreateCompressedMiner(algo)->MineCompressed(*cdb, 2);
+    auto result = MinePatterns(*CreateCompressedMiner(algo), *cdb, 2);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->size(), 3u);  // {1},{2},{1,2} at support 6.
     EXPECT_EQ(result->SupportOf(std::vector<ItemId>{1, 2}), 6u);
@@ -165,17 +167,19 @@ TEST(EdgeCasesTest, DeepRelaxationChain) {
   // Mine at a ladder of thresholds, recycling each round into the next;
   // every rung must stay exact.
   const TransactionDb db = testutil::RandomDb(881, 500, 50, 7.0);
-  core::RecyclingSession session(db);
+  serve::MiningService service(db, "ladder");
   for (uint64_t sup : {120u, 60u, 30u, 15u, 8u, 4u}) {
     SCOPED_TRACE(sup);
-    auto got = session.Mine(sup);
+    serve::ServeStats stats;
+    auto got = service.Mine(fpm::MineRequest::At(sup), &stats);
     ASSERT_TRUE(got.ok());
+    EXPECT_EQ(stats.route,
+              sup == 120 ? core::SeedRoute::kNone : core::SeedRoute::kRecycle);
     auto expected =
-        fpm::CreateMiner(fpm::MinerKind::kFpGrowth)->Mine(db, sup);
+        MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kFpGrowth), db, sup);
     ASSERT_TRUE(expected.ok());
     PatternSet a = std::move(expected).value();
-    PatternSet b = std::move(got).value();
-    EXPECT_TRUE(PatternSet::Equal(&a, &b));
+    EXPECT_TRUE(PatternSet::Equal(&a, &got->patterns));
   }
 }
 
@@ -188,7 +192,7 @@ TEST(EdgeCasesTest, CompressionOfEmptyDatabase) {
   ASSERT_TRUE(cdb.ok());
   EXPECT_EQ(cdb->NumTuples(), 0u);
   for (RecycleAlgo algo : kAllRecycleAlgos) {
-    auto result = CreateCompressedMiner(algo)->MineCompressed(*cdb, 1);
+    auto result = MinePatterns(*CreateCompressedMiner(algo), *cdb, 1);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->empty());
   }

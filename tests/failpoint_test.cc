@@ -35,6 +35,7 @@ using core::MatcherKind;
 using failpoint::ScopedFailpoints;
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::RandomDb;
 
 // --- Registry behavior --------------------------------------------------
@@ -171,13 +172,13 @@ SpillFixture MakeSpillFixture() {
   SpillFixture f;
   f.db = RandomDb(21, 500, 50, 7.0);
   auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-  auto fp_old = miner->Mine(f.db, 40);
+  auto fp_old = MinePatterns(*miner, f.db, 40);
   EXPECT_TRUE(fp_old.ok());
   auto cdb = core::CompressDatabase(
       f.db, fp_old.value(), {CompressionStrategy::kMcp, MatcherKind::kAuto});
   EXPECT_TRUE(cdb.ok());
   f.cdb = std::move(cdb).value();
-  auto expected = miner->Mine(f.db, 15);
+  auto expected = MinePatterns(*miner, f.db, 15);
   EXPECT_TRUE(expected.ok());
   f.expected = std::move(expected).value();
   return f;
@@ -262,9 +263,9 @@ TEST(FailpointResilienceTest, InMemoryMiningIgnoresIoFaults) {
   // armed spill faults is bit-identical to the unarmed run.
   const TransactionDb db = RandomDb(22, 300, 40, 6.0);
   auto miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto baseline = miner->Mine(db, 5);
+  auto baseline = MinePatterns(*miner, db, 5);
   ASSERT_TRUE(baseline.ok());
-  auto armed = miner->Mine(db, 5);
+  auto armed = MinePatterns(*miner, db, 5);
   ASSERT_TRUE(armed.ok());
   PatternSet a = std::move(baseline).value();
   PatternSet b = std::move(armed).value();

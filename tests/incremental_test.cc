@@ -13,11 +13,12 @@ namespace {
 
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::RandomDb;
 
 PatternSet Direct(const TransactionDb& db, uint64_t minsup) {
   auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-  auto result = miner->Mine(db, minsup);
+  auto result = MinePatterns(*miner, db, minsup);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
 }
@@ -26,7 +27,7 @@ TEST(IncrementalTest, FirstMineIsInitial) {
   IncrementalSession session(RandomDb(71, 200, 30, 5.0));
   auto result = session.Mine(10);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(session.last_stats().path, MiningPath::kInitial);
+  EXPECT_FALSE(session.last_recycled());
   EXPECT_TRUE(session.has_cache());
 }
 
@@ -40,7 +41,7 @@ TEST(IncrementalTest, ExactAfterInsertions) {
 
   auto result = session.Mine(20);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(session.last_stats().path, MiningPath::kRecycled);
+  EXPECT_TRUE(session.last_recycled());
   PatternSet expected = Direct(session.db(), 20);
   PatternSet got = std::move(result).value();
   EXPECT_TRUE(PatternSet::Equal(&expected, &got));
@@ -57,7 +58,7 @@ TEST(IncrementalTest, ExactAfterDeletions) {
 
   auto result = session.Mine(25);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(session.last_stats().path, MiningPath::kRecycled);
+  EXPECT_TRUE(session.last_recycled());
   PatternSet expected = Direct(session.db(), 25);
   PatternSet got = std::move(result).value();
   EXPECT_TRUE(PatternSet::Equal(&expected, &got));
@@ -72,7 +73,7 @@ TEST(IncrementalTest, ExactWhenBothDataAndThresholdChange) {
   session.AddBatch(RandomDb(740, 200, 40, 6.0));
   auto result = session.Mine(8);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(session.last_stats().path, MiningPath::kRecycled);
+  EXPECT_TRUE(session.last_recycled());
   PatternSet expected = Direct(session.db(), 8);
   PatternSet got = std::move(result).value();
   EXPECT_TRUE(PatternSet::Equal(&expected, &got));
@@ -99,7 +100,7 @@ TEST(IncrementalTest, TighteningAfterDataChangeStillExact) {
   session.AddTransaction({1, 2, 3});
   auto result = session.Mine(30);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(session.last_stats().path, MiningPath::kRecycled);
+  EXPECT_TRUE(session.last_recycled());
   PatternSet expected = Direct(session.db(), 30);
   PatternSet got = std::move(result).value();
   EXPECT_TRUE(PatternSet::Equal(&expected, &got));
@@ -119,17 +120,8 @@ TEST(IncrementalTest, EmptyCacheAfterAllPatternsVanish) {
   session.AddTransaction({1, 2});
   auto r2 = session.Mine(2);
   ASSERT_TRUE(r2.ok());
+  EXPECT_FALSE(session.last_recycled());
   EXPECT_EQ(r2->size(), 2u);  // {1}:2 and {2}:2.
-}
-
-TEST(IncrementalTest, DisabledRecyclingScratchEveryTime) {
-  RecyclerOptions options;
-  options.enable_recycling = false;
-  IncrementalSession session(RandomDb(77, 200, 30, 5.0), options);
-  ASSERT_TRUE(session.Mine(10).ok());
-  session.AddTransaction({1, 2});
-  ASSERT_TRUE(session.Mine(10).ok());
-  EXPECT_EQ(session.last_stats().path, MiningPath::kScratch);
 }
 
 TEST(IncrementalTest, ZeroSupportRejected) {

@@ -20,13 +20,14 @@ using core::MatcherKind;
 using fpm::PatternSet;
 using fpm::Rank;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::PaperExampleDb;
 using testutil::RandomDb;
 using testutil::RandomDenseDb;
 
 PatternSet Direct(const TransactionDb& db, uint64_t minsup) {
   auto miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto result = miner->Mine(db, minsup);
+  auto result = MinePatterns(*miner, db, minsup);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
 }
@@ -111,7 +112,7 @@ TEST(MemoryLimitedHMineTest, RejectsZeroSupport) {
 
 CompressedDb Compress(const TransactionDb& db, uint64_t xi_old) {
   auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-  auto fp = miner->Mine(db, xi_old);
+  auto fp = MinePatterns(*miner, db, xi_old);
   EXPECT_TRUE(fp.ok());
   auto cdb = core::CompressDatabase(
       db, fp.value(), {CompressionStrategy::kMcp, MatcherKind::kAuto});

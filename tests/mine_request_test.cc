@@ -1,16 +1,14 @@
-// Tests for the unified MineRequest/MineResult API: effective-support
-// resolution, equivalence with the remaining shape-specific entry points
-// (Mine(db, minsup), MineCompressed, the recycler's support- and
-// constraint-shaped calls), and per-request thread counts.
+// Tests for the MineRequest/MineResult API: effective-support resolution,
+// constraint filtering, governed determinism, and per-request thread
+// counts.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "core/compressed_miner.h"
-#include "core/compressor.h"
-#include "core/recycler.h"
 #include "fpm/constraints.h"
 #include "fpm/miner.h"
 #include "fpm/pattern_set.h"
@@ -22,7 +20,6 @@ namespace {
 
 using fpm::ConstraintSet;
 using fpm::MineRequest;
-using fpm::MineResult;
 using fpm::PatternSet;
 using fpm::TransactionDb;
 
@@ -71,25 +68,19 @@ TEST(MineRequestTest, EffectiveMinSupportRejectsZero) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(MineRequestTest, UnifiedMineMatchesLegacyMine) {
-  const TransactionDb db = testutil::RandomDb(17, 300, 40, 6.0);
-  for (fpm::MinerKind kind :
-       {fpm::MinerKind::kApriori, fpm::MinerKind::kHMine,
-        fpm::MinerKind::kFpGrowth, fpm::MinerKind::kTreeProjection}) {
-    SCOPED_TRACE(fpm::MinerKindName(kind));
-    auto legacy = fpm::CreateMiner(kind)->Mine(db, 20);
-    ASSERT_TRUE(legacy.ok());
-
-    auto miner = fpm::CreateMiner(kind);
-    auto unified = miner->Mine(db, MineRequest::At(20));
-    ASSERT_TRUE(unified.ok());
-    EXPECT_FALSE(unified->partial);
-    EXPECT_EQ(unified->frontier_support, 20u);
-    EXPECT_TRUE(unified->stop_status.ok());
-    ExpectIdentical(legacy.value(), unified->patterns, "unified vs legacy");
-    // The result carries the run's own counters.
-    EXPECT_EQ(unified->stats.patterns_emitted, unified->patterns.size());
+TEST(MineRequestTest, ResolveSupportRejectsOutOfRangeValues) {
+  EXPECT_EQ(fpm::ResolveSupport(0.5, 10).value(), 5u);
+  EXPECT_EQ(fpm::ResolveSupport(7.9, 10).value(), 7u);
+  EXPECT_EQ(fpm::ResolveSupport(18446744073709549568.0, 10).value(),
+            18446744073709549568u);  // The largest double below 2^64.
+  for (double bad : {0.0, -1.0, std::nan(""), HUGE_VAL, 1e300,
+                     18446744073709551616.0}) {
+    const auto support = fpm::ResolveSupport(bad, 10);
+    EXPECT_EQ(support.status().code(), StatusCode::kInvalidArgument) << bad;
   }
+  const Status nan_status = fpm::ResolveSupport(std::nan(""), 10).status();
+  EXPECT_NE(nan_status.message().find("nan"), std::string::npos)
+      << nan_status.ToString();
 }
 
 TEST(MineRequestTest, UnifiedMineAppliesConstraints) {
@@ -103,9 +94,10 @@ TEST(MineRequestTest, UnifiedMineAppliesConstraints) {
   auto result = miner->Mine(db, request);
   ASSERT_TRUE(result.ok());
 
-  auto plain = fpm::CreateMiner(fpm::MinerKind::kHMine)->Mine(db, 2);
+  auto plain =
+      fpm::CreateMiner(fpm::MinerKind::kHMine)->Mine(db, MineRequest::At(2));
   ASSERT_TRUE(plain.ok());
-  PatternSet expected = constraints.Filter(plain.value());
+  PatternSet expected = constraints.Filter(plain->patterns);
   ExpectIdentical(expected, result->patterns, "constrained unified mine");
   ASSERT_GT(result->patterns.size(), 0u);
   for (const fpm::Pattern& p : result->patterns) {
@@ -159,70 +151,6 @@ TEST(MineRequestTest, ThreadsFieldIsLocalToTheRequestAndExact) {
     EXPECT_EQ(sequential->stats.items_scanned,
               parallel->stats.items_scanned);
   }
-}
-
-TEST(MineRequestTest, CompressedMinerUnifiedMatchesLegacy) {
-  const TransactionDb db = testutil::RandomDb(41, 300, 40, 6.0);
-  auto fp_old = fpm::CreateMiner(fpm::MinerKind::kFpGrowth)->Mine(db, 30);
-  ASSERT_TRUE(fp_old.ok());
-  auto compressed = core::CompressDatabase(
-      db, fp_old.value(),
-      {core::CompressionStrategy::kMcp, core::MatcherKind::kAuto});
-  ASSERT_TRUE(compressed.ok());
-
-  for (core::RecycleAlgo algo :
-       {core::RecycleAlgo::kHMine, core::RecycleAlgo::kFpGrowth,
-        core::RecycleAlgo::kTreeProjection}) {
-    SCOPED_TRACE(core::RecycleAlgoName(algo));
-    auto legacy =
-        core::CreateCompressedMiner(algo)->MineCompressed(*compressed, 15);
-    ASSERT_TRUE(legacy.ok());
-
-    auto unified = core::CreateCompressedMiner(algo)->Mine(
-        *compressed, MineRequest::At(15));
-    ASSERT_TRUE(unified.ok());
-    EXPECT_FALSE(unified->partial);
-    EXPECT_EQ(unified->frontier_support, 15u);
-    ExpectIdentical(legacy.value(), unified->patterns,
-                    "compressed unified vs MineCompressed");
-  }
-}
-
-TEST(MineRequestTest, RecyclerUnifiedMatchesLegacySession) {
-  const TransactionDb db = testutil::RandomDb(53, 300, 40, 6.0);
-
-  core::RecyclingSession legacy(db);
-  core::RecyclingSession unified(db);
-  for (uint64_t minsup : {30u, 18u, 24u, 12u}) {
-    SCOPED_TRACE(testing::Message() << "minsup " << minsup);
-    auto a = legacy.Mine(minsup);
-    ASSERT_TRUE(a.ok());
-    auto b = unified.Mine(MineRequest::At(minsup));
-    ASSERT_TRUE(b.ok());
-    EXPECT_FALSE(b->partial);
-    ExpectIdentical(a.value(), b->patterns, "recycler unified vs legacy");
-    // Both sessions took the same route.
-    EXPECT_EQ(unified.last_stats().path, legacy.last_stats().path);
-  }
-}
-
-TEST(MineRequestTest, RecyclerUnifiedMatchesLegacyConstrainedSession) {
-  const TransactionDb db = testutil::RandomDb(59, 300, 40, 6.0);
-
-  ConstraintSet constraints(/*min_support=*/20);
-  constraints.Add(fpm::MakeMinLength(2));
-
-  core::RecyclingSession legacy(db);
-  auto a = legacy.Mine(constraints);
-  ASSERT_TRUE(a.ok());
-
-  core::RecyclingSession unified(db);
-  MineRequest request;
-  request.constraints = &constraints;
-  auto b = unified.Mine(request);
-  ASSERT_TRUE(b.ok());
-  ExpectIdentical(a.value(), b->patterns,
-                  "recycler constrained unified vs legacy");
 }
 
 }  // namespace

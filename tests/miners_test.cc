@@ -15,6 +15,7 @@ namespace gogreen::fpm {
 namespace {
 
 using testutil::MakeDb;
+using testutil::MinePatterns;
 using testutil::PaperExampleDb;
 using testutil::RandomDb;
 using testutil::RandomDenseDb;
@@ -25,7 +26,7 @@ constexpr MinerKind kAllMiners[] = {
 
 PatternSet MustMine(MinerKind kind, const TransactionDb& db, uint64_t minsup) {
   auto miner = CreateMiner(kind);
-  auto result = miner->Mine(db, minsup);
+  auto result = MinePatterns(*miner, db, minsup);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }
@@ -171,7 +172,7 @@ TEST(MinersTest, MinSupportZeroRejected) {
   const TransactionDb db = PaperExampleDb();
   for (MinerKind kind : kAllMiners) {
     auto miner = CreateMiner(kind);
-    auto result = miner->Mine(db, 0);
+    auto result = MinePatterns(*miner, db, 0);
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
@@ -208,11 +209,10 @@ TEST(MinersTest, DuplicateItemsInInputAreDeduplicated) {
 
 TEST(MinersTest, StatsPopulated) {
   const TransactionDb db = RandomDb(99, 200, 30, 6.0);
-  auto miner = CreateMiner(MinerKind::kHMine);
-  auto result = miner->Mine(db, 5);
+  auto result = CreateMiner(MinerKind::kHMine)->Mine(db, MineRequest::At(5));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(miner->stats().patterns_emitted, result.value().size());
-  EXPECT_GT(miner->stats().items_scanned, 0u);
+  EXPECT_EQ(result->stats.patterns_emitted, result->patterns.size());
+  EXPECT_GT(result->stats.items_scanned, 0u);
 }
 
 TEST(MinersTest, EclatLayoutsProduceIdenticalResults) {
@@ -223,8 +223,8 @@ TEST(MinersTest, EclatLayoutsProduceIdenticalResults) {
       const uint64_t minsup = db == &sparse ? 10 : 120;
       EclatMiner lists(EclatLayout::kTidLists);
       EclatMiner bits(EclatLayout::kBitsets);
-      auto a = lists.Mine(*db, minsup);
-      auto b = bits.Mine(*db, minsup);
+      auto a = MinePatterns(lists, *db, minsup);
+      auto b = MinePatterns(bits, *db, minsup);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
       EXPECT_TRUE(PatternSet::Equal(&a.value(), &b.value()));

@@ -10,12 +10,13 @@
 namespace gogreen::fpm {
 namespace {
 
+using testutil::MinePatterns;
 using testutil::RandomDb;
 
 PatternSet Direct(const TransactionDb& db, double fraction) {
   auto miner = CreateMiner(MinerKind::kFpGrowth);
   auto result =
-      miner->Mine(db, AbsoluteSupport(fraction, db.NumTransactions()));
+      MinePatterns(*miner, db, AbsoluteSupport(fraction, db.NumTransactions()));
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
 }

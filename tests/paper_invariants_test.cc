@@ -23,6 +23,7 @@ namespace {
 
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::RandomDenseDb;
 
 /// The database in compressed form with no groups: every tuple stands alone.
@@ -36,22 +37,25 @@ CompressedDb Ungrouped(const TransactionDb& db) {
 TEST(PaperInvariantsTest, RecyclingScansFewerItemsOnDenseData) {
   const TransactionDb db = RandomDenseDb(91, 600, 12, 3);
   auto fp_miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto fp = fp_miner->Mine(db, 380);
+  auto fp = MinePatterns(*fp_miner, db, 380);
   ASSERT_TRUE(fp.ok());
   ASSERT_GT(fp->size(), 3u);
   auto cdb = CompressDatabase(db, *fp,
                               {CompressionStrategy::kMcp, MatcherKind::kAuto});
   ASSERT_TRUE(cdb.ok());
 
-  auto direct = CreateCompressedMiner(RecycleAlgo::kHMine);
-  ASSERT_TRUE(direct->MineCompressed(Ungrouped(db), 300).ok());
+  const fpm::MineRequest request = fpm::MineRequest::At(300);
+  auto direct =
+      CreateCompressedMiner(RecycleAlgo::kHMine)->Mine(Ungrouped(db), request);
+  ASSERT_TRUE(direct.ok());
   for (RecycleAlgo algo : {RecycleAlgo::kNaive, RecycleAlgo::kHMine,
                            RecycleAlgo::kFpGrowth}) {
     SCOPED_TRACE(RecycleAlgoName(algo));
     auto rec = CreateCompressedMiner(algo);
-    ASSERT_TRUE(rec->MineCompressed(*cdb, 300).ok());
-    EXPECT_LT(rec->stats().items_scanned, direct->stats().items_scanned);
-    auto r2 = rec->MineCompressed(*cdb, 300);
+    auto recycled = rec->Mine(*cdb, request);
+    ASSERT_TRUE(recycled.ok());
+    EXPECT_LT(recycled->stats.items_scanned, direct->stats.items_scanned);
+    auto r2 = rec->Mine(*cdb, request);
     ASSERT_TRUE(r2.ok());
   }
 }
@@ -65,26 +69,24 @@ TEST(PaperInvariantsTest, SingleGroupShortcutCutsProjections) {
   for (int i = 0; i < 20; ++i) db.AddTransaction({1, 7});
 
   auto fp_miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto fp = fp_miner->Mine(db, 100);
+  auto fp = MinePatterns(*fp_miner, db, 100);
   ASSERT_TRUE(fp.ok());
   auto cdb = CompressDatabase(db, *fp,
                               {CompressionStrategy::kMcp, MatcherKind::kAuto});
   ASSERT_TRUE(cdb.ok());
 
-  auto direct = CreateCompressedMiner(RecycleAlgo::kHMine);
-  auto direct_result = direct->MineCompressed(Ungrouped(db), 20);
-  ASSERT_TRUE(direct_result.ok());
+  const fpm::MineRequest request = fpm::MineRequest::At(20);
+  auto direct =
+      CreateCompressedMiner(RecycleAlgo::kHMine)->Mine(Ungrouped(db), request);
+  ASSERT_TRUE(direct.ok());
 
-  auto rec = CreateCompressedMiner(RecycleAlgo::kHMine);
-  auto rec_result = rec->MineCompressed(*cdb, 20);
-  ASSERT_TRUE(rec_result.ok());
+  auto rec = CreateCompressedMiner(RecycleAlgo::kHMine)->Mine(*cdb, request);
+  ASSERT_TRUE(rec.ok());
 
-  PatternSet a = std::move(direct_result).value();
-  PatternSet b = std::move(rec_result).value();
-  ASSERT_TRUE(PatternSet::Equal(&a, &b));
-  EXPECT_LT(rec->stats().projections_built,
-            direct->stats().projections_built / 4);
-  EXPECT_LT(rec->stats().items_scanned, direct->stats().items_scanned / 4);
+  ASSERT_TRUE(PatternSet::Equal(&direct->patterns, &rec->patterns));
+  EXPECT_LT(rec->stats.projections_built,
+            direct->stats.projections_built / 4);
+  EXPECT_LT(rec->stats.items_scanned, direct->stats.items_scanned / 4);
 }
 
 TEST(PaperInvariantsTest, McpRanksExpensiveSubtreesFirst) {
@@ -107,16 +109,17 @@ TEST(PaperInvariantsTest, CompressionIsThresholdIndependent) {
   // image).
   const TransactionDb db = testutil::RandomDb(92, 400, 40, 6.0);
   auto fp_miner = fpm::CreateMiner(fpm::MinerKind::kEclat);
-  auto fp = fp_miner->Mine(db, 60);
+  auto fp = MinePatterns(*fp_miner, db, 60);
   ASSERT_TRUE(fp.ok());
   auto cdb = CompressDatabase(db, *fp,
                               {CompressionStrategy::kMcp, MatcherKind::kAuto});
   ASSERT_TRUE(cdb.ok());
   for (uint64_t sup : {40u, 20u, 8u}) {
     SCOPED_TRACE(sup);
-    auto direct = fpm::CreateMiner(fpm::MinerKind::kFpGrowth)->Mine(db, sup);
-    auto rec = CreateCompressedMiner(RecycleAlgo::kHMine)
-                   ->MineCompressed(*cdb, sup);
+    auto direct =
+        MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kFpGrowth), db, sup);
+    auto rec =
+        MinePatterns(*CreateCompressedMiner(RecycleAlgo::kHMine), *cdb, sup);
     ASSERT_TRUE(direct.ok());
     ASSERT_TRUE(rec.ok());
     PatternSet a = std::move(direct).value();

@@ -23,10 +23,12 @@ namespace {
 using core::CompressedDb;
 using core::CompressionStrategy;
 using core::RecycleAlgo;
+using fpm::MineRequest;
 using fpm::MinerKind;
 using fpm::MiningStats;
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::RandomDb;
 using testutil::RandomDenseDb;
 
@@ -68,11 +70,10 @@ void ExpectStatsEqual(const MiningStats& a, const MiningStats& b,
 
 PatternSet MineDirect(MinerKind kind, const TransactionDb& db, uint64_t minsup,
                       MiningStats* stats = nullptr) {
-  auto miner = fpm::CreateMiner(kind);
-  auto result = miner->Mine(db, minsup);
+  auto result = fpm::CreateMiner(kind)->Mine(db, MineRequest::At(minsup));
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  if (stats != nullptr) *stats = miner->stats();
-  return std::move(result).value();
+  if (stats != nullptr) *stats = result->stats;
+  return std::move(result->patterns);
 }
 
 PatternSet MineOracle(const TransactionDb& db, uint64_t minsup) {
@@ -159,11 +160,11 @@ TEST_P(ParallelDifferentialTest, CompressRecycleMatchesSequentialAndOracle) {
     PatternSet sequential;
     {
       ScopedThreads one(1);
-      auto miner = core::CreateCompressedMiner(algo);
-      auto result = miner->MineCompressed(cdb, p.xi_new);
+      auto result = core::CreateCompressedMiner(algo)->Mine(
+          cdb, MineRequest::At(p.xi_new));
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      sequential = std::move(result).value();
-      seq_stats = miner->stats();
+      sequential = std::move(result->patterns);
+      seq_stats = result->stats;
     }
     PatternSet canon = sequential;
     EXPECT_TRUE(PatternSet::Equal(&oracle, &canon))
@@ -172,11 +173,11 @@ TEST_P(ParallelDifferentialTest, CompressRecycleMatchesSequentialAndOracle) {
     for (size_t threads : kThreadCounts) {
       SCOPED_TRACE(testing::Message() << threads << " threads");
       ScopedThreads scoped(threads);
-      auto miner = core::CreateCompressedMiner(algo);
-      auto result = miner->MineCompressed(cdb, p.xi_new);
+      auto result = core::CreateCompressedMiner(algo)->Mine(
+          cdb, MineRequest::At(p.xi_new));
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ExpectIdentical(sequential, result.value(), "recycled output");
-      ExpectStatsEqual(seq_stats, miner->stats(), "recycled stats");
+      ExpectIdentical(sequential, result->patterns, "recycled output");
+      ExpectStatsEqual(seq_stats, result->stats, "recycled stats");
     }
   }
 }
@@ -209,10 +210,10 @@ TEST_P(ParallelDifferentialTest, ParallelCompressionIsBitIdentical) {
     EXPECT_EQ(par_stats.stored_items, seq_stats.stored_items);
     // The compressed databases must mine identically too.
     for (uint64_t minsup : {p.xi_new, p.xi_old}) {
-      auto a = core::CreateCompressedMiner(RecycleAlgo::kHMine)
-                   ->MineCompressed(sequential.value(), minsup);
-      auto b = core::CreateCompressedMiner(RecycleAlgo::kHMine)
-                   ->MineCompressed(parallel.value(), minsup);
+      auto a = MinePatterns(*core::CreateCompressedMiner(RecycleAlgo::kHMine),
+                            sequential.value(), minsup);
+      auto b = MinePatterns(*core::CreateCompressedMiner(RecycleAlgo::kHMine),
+                            parallel.value(), minsup);
       ASSERT_TRUE(a.ok() && b.ok());
       ExpectIdentical(a.value(), b.value(), "mining of compressed db");
     }

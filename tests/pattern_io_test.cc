@@ -20,6 +20,8 @@
 namespace gogreen::fpm {
 namespace {
 
+using testutil::MinePatterns;
+
 std::string TempPath(const char* name) {
   return TempDir() + "/" + name + std::to_string(::getpid());
 }
@@ -189,7 +191,7 @@ TEST(PatternIoTest, TextWriteIsAlsoAtomic) {
 
 TEST(PatternIoTest, MinedSetRoundTripsExactly) {
   const auto db = testutil::RandomDb(55, 300, 40, 6.0);
-  auto fp = CreateMiner(MinerKind::kFpGrowth)->Mine(db, 15);
+  auto fp = MinePatterns(*CreateMiner(MinerKind::kFpGrowth), db, 15);
   ASSERT_TRUE(fp.ok());
   const std::string path = TempPath("patio_mined_");
   PatternSetHeader header{15, db.NumTransactions(), "mined"};

@@ -35,6 +35,7 @@ using serve::PatternSetCost;
 using serve::PatternStore;
 using serve::StoreKey;
 using serve::StoreStats;
+using testutil::MinePatterns;
 
 StoreKey Key(uint64_t min_support, const std::string& dataset = "db",
              const std::string& fingerprint = "") {
@@ -167,7 +168,7 @@ TEST(PatternStoreTest, EvictionDropsReferenceNotReader) {
 
 TEST(PatternStoreTest, CompressedImagesEvictBeforePatternSets) {
   const fpm::TransactionDb db = testutil::PaperExampleDb();
-  auto mined = fpm::CreateMiner(fpm::MinerKind::kApriori)->Mine(db, 3);
+  auto mined = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kApriori), db, 3);
   ASSERT_TRUE(mined.ok());
   auto compressed = core::CompressDatabase(
       db, mined.value(),
@@ -336,7 +337,7 @@ TEST(PatternStoreTest, LoadFromMissingDirectoryFails) {
 // about data races and the global-ledger invariant under contention.
 TEST(PatternStoreTest, ConcurrentMixedOperationsHoldBudgetInvariant) {
   const fpm::TransactionDb db = testutil::PaperExampleDb();
-  auto mined = fpm::CreateMiner(fpm::MinerKind::kApriori)->Mine(db, 3);
+  auto mined = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kApriori), db, 3);
   ASSERT_TRUE(mined.ok());
   auto compressed = core::CompressDatabase(
       db, mined.value(),

@@ -25,6 +25,7 @@ using core::MatcherKind;
 using core::RecycleAlgo;
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 
 struct SweepParam {
   uint64_t seed;
@@ -53,12 +54,13 @@ TEST_P(PipelineSweepTest, FullMatrixAgreesWithDirect) {
   const SweepParam& p = GetParam();
   const TransactionDb db = MakeDbForParam();
 
-  auto direct = fpm::CreateMiner(fpm::MinerKind::kEclat)->Mine(db, p.xi_new);
+  auto direct =
+      MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kEclat), db, p.xi_new);
   ASSERT_TRUE(direct.ok());
   PatternSet expected = std::move(direct).value();
 
   auto fp_old =
-      fpm::CreateMiner(fpm::MinerKind::kFpGrowth)->Mine(db, p.xi_old);
+      MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kFpGrowth), db, p.xi_old);
   ASSERT_TRUE(fp_old.ok());
 
   for (CompressionStrategy strategy :
@@ -74,8 +76,8 @@ TEST_P(PipelineSweepTest, FullMatrixAgreesWithDirect) {
                      << core::CompressionStrategyName(strategy) << "/"
                      << core::MatcherKindName(matcher) << "/"
                      << RecycleAlgoName(algo));
-        auto got = core::CreateCompressedMiner(algo)->MineCompressed(
-            *cdb, p.xi_new);
+        auto got =
+            MinePatterns(*core::CreateCompressedMiner(algo), *cdb, p.xi_new);
         ASSERT_TRUE(got.ok());
         PatternSet gs = std::move(got).value();
         EXPECT_TRUE(PatternSet::Equal(&expected, &gs))
@@ -91,7 +93,7 @@ TEST_P(PipelineSweepTest, MemoryLimitedMatchesUnlimited) {
   const TransactionDb db = MakeDbForParam();
 
   auto unlimited =
-      fpm::CreateMiner(fpm::MinerKind::kHMine)->Mine(db, p.xi_new);
+      MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kHMine), db, p.xi_new);
   ASSERT_TRUE(unlimited.ok());
   PatternSet expected = std::move(unlimited).value();
 
@@ -105,7 +107,7 @@ TEST_P(PipelineSweepTest, MemoryLimitedMatchesUnlimited) {
   EXPECT_TRUE(PatternSet::Equal(&expected, &got));
 
   auto fp_old =
-      fpm::CreateMiner(fpm::MinerKind::kFpGrowth)->Mine(db, p.xi_old);
+      MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kFpGrowth), db, p.xi_old);
   ASSERT_TRUE(fp_old.ok());
   auto cdb = CompressDatabase(
       db, *fp_old, {CompressionStrategy::kMcp, MatcherKind::kAuto});
@@ -140,8 +142,8 @@ TEST_P(LosslessSweepTest, CompressDecompressRoundTrip) {
   const TransactionDb db = seed % 2 == 0
                                ? testutil::RandomDb(seed, 250, 35, 5.5)
                                : testutil::RandomDenseDb(seed, 200, 8, 4);
-  auto fp = fpm::CreateMiner(fpm::MinerKind::kEclat)
-                ->Mine(db, seed % 2 == 0 ? 20 : 120);
+  auto fp = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kEclat), db,
+                         seed % 2 == 0 ? 20 : 120);
   ASSERT_TRUE(fp.ok());
   for (CompressionStrategy strategy :
        {CompressionStrategy::kMcp, CompressionStrategy::kMlp}) {

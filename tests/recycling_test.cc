@@ -16,6 +16,7 @@ namespace {
 using fpm::ItemId;
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::PaperExampleDb;
 using testutil::RandomDb;
 using testutil::RandomDenseDb;
@@ -26,7 +27,7 @@ constexpr RecycleAlgo kAllRecycleAlgos[] = {
 
 PatternSet MustMineDirect(const TransactionDb& db, uint64_t minsup) {
   auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-  auto result = miner->Mine(db, minsup);
+  auto result = MinePatterns(*miner, db, minsup);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }
@@ -41,7 +42,7 @@ CompressedDb MustCompress(const TransactionDb& db, const PatternSet& fp,
 PatternSet MustMineCompressed(RecycleAlgo algo, const CompressedDb& cdb,
                               uint64_t minsup) {
   auto miner = CreateCompressedMiner(algo);
-  auto result = miner->MineCompressed(cdb, minsup);
+  auto result = MinePatterns(*miner, cdb, minsup);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }
@@ -155,7 +156,7 @@ TEST(RecyclingTest, MinSupportZeroRejected) {
                                         CompressionStrategy::kMcp);
   for (RecycleAlgo algo : kAllRecycleAlgos) {
     auto miner = CreateCompressedMiner(algo);
-    auto result = miner->MineCompressed(cdb, 0);
+    auto result = MinePatterns(*miner, cdb, 0);
     EXPECT_FALSE(result.ok());
   }
 }
@@ -179,11 +180,14 @@ TEST(RecyclingTest, StatsShowGroupCountingSavings) {
   const CompressedDb ungrouped =
       MustCompress(db, PatternSet(), CompressionStrategy::kMcp);
 
-  auto direct = CreateCompressedMiner(RecycleAlgo::kHMine);
-  ASSERT_TRUE(direct->MineCompressed(ungrouped, 240).ok());
-  auto recycled = CreateCompressedMiner(RecycleAlgo::kHMine);
-  ASSERT_TRUE(recycled->MineCompressed(cdb, 240).ok());
-  EXPECT_LT(recycled->stats().items_scanned, direct->stats().items_scanned);
+  const fpm::MineRequest request = fpm::MineRequest::At(240);
+  auto direct =
+      CreateCompressedMiner(RecycleAlgo::kHMine)->Mine(ungrouped, request);
+  ASSERT_TRUE(direct.ok());
+  auto recycled =
+      CreateCompressedMiner(RecycleAlgo::kHMine)->Mine(cdb, request);
+  ASSERT_TRUE(recycled.ok());
+  EXPECT_LT(recycled->stats.items_scanned, direct->stats.items_scanned);
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 namespace gogreen::fpm {
 namespace {
 
+using testutil::MinePatterns;
+
 /// Complete set for the paper example at support 3 (11 patterns).
 PatternSet PaperFp() {
   auto miner = CreateMiner(MinerKind::kFpGrowth);
-  auto result = miner->Mine(testutil::PaperExampleDb(), 3);
+  auto result = MinePatterns(*miner, testutil::PaperExampleDb(), 3);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
 }
@@ -104,7 +106,7 @@ TEST(RulesTest, SingletonPatternsYieldNoRules) {
 
 TEST(RulesTest, RandomizedConfidenceDefinitionHolds) {
   const auto db = testutil::RandomDb(66, 300, 30, 5.0);
-  auto fp = CreateMiner(MinerKind::kEclat)->Mine(db, 10);
+  auto fp = MinePatterns(*CreateMiner(MinerKind::kEclat), db, 10);
   ASSERT_TRUE(fp.ok());
   auto rules = GenerateRules(*fp, db.NumTransactions(), {0.3});
   ASSERT_TRUE(rules.ok());

@@ -34,6 +34,7 @@ using fpm::MineResult;
 using fpm::MinerKind;
 using fpm::PatternSet;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::RandomDb;
 using testutil::RandomDenseDb;
 
@@ -79,7 +80,7 @@ class ScopedThreads {
 
 PatternSet Oracle(const TransactionDb& db, uint64_t minsup) {
   auto miner = fpm::CreateMiner(MinerKind::kApriori);
-  auto result = miner->Mine(db, minsup);
+  auto result = MinePatterns(*miner, db, minsup);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }

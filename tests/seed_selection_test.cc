@@ -116,7 +116,7 @@ TEST(SeedSelectionTest, ExactTiesAlsoBreakOnImageThenRecency) {
 }
 
 TEST(SeedSelectionTest, MatchesRecyclingSessionSingleCandidateContract) {
-  // The RecyclingSession feeds exactly one candidate (its last cached set).
+  // One cached set (a single analyst's last result) is one candidate.
   // xi_old >= xi_new must always produce a usable route — this is the
   // paper's recyclability condition (Section 3.2).
   for (uint64_t cached = 1; cached <= 30; ++cached) {

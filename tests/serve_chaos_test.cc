@@ -57,6 +57,7 @@ using serve::AdmissionOptions;
 using serve::MiningService;
 using serve::ServeStats;
 using serve::TenantQuota;
+using testutil::MinePatterns;
 
 uint64_t CounterNow(const char* name) {
   return obs::MetricRegistry::Global().Snapshot().CounterValue(name);
@@ -65,7 +66,7 @@ uint64_t CounterNow(const char* name) {
 /// Serial oracle: a direct storeless mine at `minsup`.
 PatternSet DirectMine(const TransactionDb& db, uint64_t minsup) {
   auto miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto result = miner->Mine(db, minsup);
+  auto result = MinePatterns(*miner, db, minsup);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }

@@ -50,6 +50,7 @@ using fpm::PatternSet;
 using fpm::TransactionDb;
 using serve::MiningService;
 using serve::ServeStats;
+using testutil::MinePatterns;
 
 uint64_t CounterNow(const char* name) {
   return obs::MetricRegistry::Global().Snapshot().CounterValue(name);
@@ -59,7 +60,7 @@ uint64_t CounterNow(const char* name) {
 /// concurrent route must reproduce bit-for-bit (canonical order).
 PatternSet DirectMine(const TransactionDb& db, uint64_t minsup) {
   auto miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto result = miner->Mine(db, minsup);
+  auto result = MinePatterns(*miner, db, minsup);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }

@@ -4,7 +4,9 @@
 // the same database at the same support, on all four example datasets, at 1
 // and 4 threads. Plus: partial governed results are cached at their frontier
 // (the paper's relax-recycle loop), constrained requests share support-
-// complete seeds, and the store budget holds under service load.
+// complete seeds (and a constrained relax recycles), the store budget holds
+// under service load, and one analyst's relax/tighten ladder takes the
+// expected route at every step, recycling from recycled sets.
 
 #include <gtest/gtest.h>
 
@@ -36,12 +38,13 @@ using fpm::TransactionDb;
 using serve::MiningService;
 using serve::ServeStats;
 using serve::StoreKey;
+using testutil::MinePatterns;
 
 /// Direct mine with no store involved: the correctness oracle for every
 /// service route.
 PatternSet DirectMine(const TransactionDb& db, uint64_t minsup) {
   auto miner = fpm::CreateMiner(fpm::MinerKind::kHMine);
-  auto result = miner->Mine(db, minsup);
+  auto result = MinePatterns(*miner, db, minsup);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }
@@ -272,6 +275,150 @@ TEST_F(ServeBehaviorTest, TinyBudgetServiceStaysCorrectUnderEviction) {
                            "mining with a zero-capacity store");
     EXPECT_EQ(service.store().bytes_in_use(), 0u);
   }
+}
+
+TEST_F(ServeBehaviorTest, ConstrainedRelaxUsesRecycleRoute) {
+  // A constrained query relaxes its support with the same length
+  // constraint: the service recycles the support-complete set it cached
+  // for the first query, then filters.
+  const TransactionDb db = testutil::RandomDb(36, 400, 40, 6.0);
+  MiningService service(db, "random");
+  fpm::ConstraintSet first(/*min_support=*/20);
+  first.Add(fpm::MakeMinLength(2));
+  MineRequest request;
+  request.constraints = &first;
+  ServeStats stats;
+  ASSERT_TRUE(service.Mine(request, &stats).ok());
+  EXPECT_EQ(stats.route, SeedRoute::kNone);
+
+  fpm::ConstraintSet relaxed(/*min_support=*/8);
+  relaxed.Add(fpm::MakeMinLength(2));
+  request.constraints = &relaxed;
+  auto result = service.Mine(request, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(stats.route, SeedRoute::kRecycle);
+  EXPECT_EQ(stats.seed_support, 20u);
+  ExpectCanonicallyEqual(relaxed.Filter(DirectMine(db, 8)),
+                         std::move(result->patterns), "constrained relax");
+}
+
+// --- One analyst's session of relaxed and tightened supports, as the
+// service's routes answer it (paper §2's recycling loop). ---
+
+TEST(RecyclerTest, FirstMineIsInitialPath) {
+  MiningService service(testutil::PaperExampleDb(), "paper");
+  ServeStats stats;
+  MineResult result = ServeAt(service, 3, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.route, SeedRoute::kNone);
+  EXPECT_EQ(result.patterns.size(), 11u);
+  EXPECT_NE(service.store().Get({"paper", "", 3}), nullptr);
+}
+
+TEST(RecyclerTest, TightenedUsesFilterPath) {
+  const TransactionDb db = testutil::RandomDb(31, 500, 50, 7.0);
+  MiningService service(db, "random");
+  (void)ServeAt(service, 10, /*threads=*/0);
+  ServeStats stats;
+  MineResult result = ServeAt(service, 25, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.route, SeedRoute::kFilterDown);
+  EXPECT_EQ(stats.seed_support, 10u);
+  ExpectCanonicallyEqual(DirectMine(db, 25), std::move(result.patterns),
+                         "tightened");
+  // The richer set stays cached for future relaxations.
+  EXPECT_NE(service.store().Get({"random", "", 10}), nullptr);
+}
+
+TEST(RecyclerTest, RelaxedUsesRecycledPathAndIsExact) {
+  const TransactionDb db = testutil::RandomDb(32, 500, 50, 7.0);
+  MiningService service(db, "random");
+  (void)ServeAt(service, 40, /*threads=*/0);
+  ServeStats stats;
+  MineResult result = ServeAt(service, 12, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.route, SeedRoute::kRecycle);
+  EXPECT_EQ(stats.seed_support, 40u);
+  EXPECT_LE(stats.compression_ratio, 1.0);
+  ExpectCanonicallyEqual(DirectMine(db, 12), std::move(result.patterns),
+                         "relaxed");
+  EXPECT_NE(service.store().Get({"random", "", 12}), nullptr);
+}
+
+TEST(RecyclerTest, IterativeDrillDownStaysCorrect) {
+  // The introduction's workflow, with a tightening thrown in. Supports 20
+  // and 10 recycle sets that were themselves recycled.
+  const TransactionDb db = testutil::RandomDb(33, 800, 60, 8.0);
+  MiningService service(db, "random");
+  const struct {
+    uint64_t support;
+    SeedRoute route;
+    uint64_t seed;
+  } kLadder[] = {{60, SeedRoute::kNone, 0},
+                 {35, SeedRoute::kRecycle, 60},
+                 {50, SeedRoute::kFilterDown, 35},
+                 {20, SeedRoute::kRecycle, 35},
+                 {10, SeedRoute::kRecycle, 20}};
+  for (const auto& rung : kLadder) {
+    SCOPED_TRACE(rung.support);
+    ServeStats stats;
+    MineResult result = ServeAt(service, rung.support, 0, &stats);
+    EXPECT_EQ(stats.route, rung.route);
+    EXPECT_EQ(stats.seed_support, rung.seed);
+    ExpectCanonicallyEqual(DirectMine(db, rung.support),
+                           std::move(result.patterns), "drill-down rung");
+  }
+}
+
+TEST(RecyclerTest, AllAlgoStrategyCombinationsAgree) {
+  const TransactionDb db = testutil::RandomDb(34, 300, 40, 6.0);
+  const PatternSet expected = DirectMine(db, 8);
+  for (fpm::MinerKind base :
+       {fpm::MinerKind::kHMine, fpm::MinerKind::kFpGrowth,
+        fpm::MinerKind::kTreeProjection}) {
+    for (core::CompressionStrategy strategy :
+         {core::CompressionStrategy::kMcp, core::CompressionStrategy::kMlp}) {
+      SCOPED_TRACE(testing::Message()
+                   << fpm::MinerKindName(base) << "/"
+                   << core::CompressionStrategyName(strategy));
+      serve::ServiceOptions options;
+      options.base_miner = base;
+      options.strategy = strategy;
+      MiningService service(db, "random", options);
+      (void)ServeAt(service, 30, /*threads=*/0);
+      ServeStats stats;
+      MineResult result = ServeAt(service, 8, /*threads=*/0, &stats);
+      EXPECT_EQ(stats.route, SeedRoute::kRecycle);
+      ExpectCanonicallyEqual(expected, std::move(result.patterns),
+                             "recycled");
+    }
+  }
+}
+
+TEST(RecyclerTest, SeedCacheEnablesMultiUserRecycling) {
+  // User A's result, mined elsewhere, lands in the shared store; user B's
+  // deeper query goes straight to the recycle route.
+  const TransactionDb db = testutil::RandomDb(35, 400, 40, 6.0);
+  MiningService service(db, "random");
+  ASSERT_TRUE(service.store().Put({"random", "", 30}, DirectMine(db, 30),
+                                  db.NumTransactions()));
+  ServeStats stats;
+  MineResult result = ServeAt(service, 10, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.route, SeedRoute::kRecycle);
+  EXPECT_EQ(stats.seed_support, 30u);
+  ExpectCanonicallyEqual(DirectMine(db, 10), std::move(result.patterns),
+                         "recycled from a shared seed");
+}
+
+TEST(RecyclerTest, ZeroSupportRejected) {
+  MiningService service(testutil::PaperExampleDb(), "paper");
+  EXPECT_EQ(service.Mine(MineRequest::At(0)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RecyclerTest, StatsReportPatternCounts) {
+  MiningService service(testutil::PaperExampleDb(), "paper");
+  ServeStats stats;
+  (void)ServeAt(service, 3, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.patterns_returned, 11u);
+  EXPECT_EQ(service.store().stats().entries, 1u);
 }
 
 }  // namespace

@@ -17,13 +17,14 @@ using fpm::FList;
 using fpm::ItemId;
 using fpm::Rank;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 using testutil::PaperExampleDb;
 
 /// Table 2 CDB built through the real compressor.
 CompressedDb PaperCdb() {
   const TransactionDb db = PaperExampleDb();
   auto miner = fpm::CreateMiner(fpm::MinerKind::kFpGrowth);
-  auto fp = miner->Mine(db, 3);
+  auto fp = MinePatterns(*miner, db, 3);
   EXPECT_TRUE(fp.ok());
   auto cdb = CompressDatabase(db, fp.value(),
                               {CompressionStrategy::kMcp,

@@ -11,12 +11,14 @@
 namespace gogreen::fpm {
 namespace {
 
+using testutil::MinePatterns;
+
 TEST(SummarizeTest, ClosedPatternsOnPaperExample) {
   // At support 3 the complete set has 11 patterns. fgc:3 closes f, g, fg,
   // fc, gc (all support 3); ae:3 closes a; ec:3 is closed; e:4, c:4 are
   // closed (no superset with support 4).
-  auto fp = CreateMiner(MinerKind::kFpGrowth)
-                ->Mine(testutil::PaperExampleDb(), 3);
+  auto fp = MinePatterns(*CreateMiner(MinerKind::kFpGrowth),
+                         testutil::PaperExampleDb(), 3);
   ASSERT_TRUE(fp.ok());
   PatternSet closed = ClosedPatterns(*fp);
   closed.SortCanonical();
@@ -29,8 +31,8 @@ TEST(SummarizeTest, ClosedPatternsOnPaperExample) {
 }
 
 TEST(SummarizeTest, MaximalPatternsOnPaperExample) {
-  auto fp = CreateMiner(MinerKind::kFpGrowth)
-                ->Mine(testutil::PaperExampleDb(), 3);
+  auto fp = MinePatterns(*CreateMiner(MinerKind::kFpGrowth),
+                         testutil::PaperExampleDb(), 3);
   ASSERT_TRUE(fp.ok());
   PatternSet maximal = MaximalPatterns(*fp);
   maximal.SortCanonical();
@@ -44,7 +46,7 @@ TEST(SummarizeTest, MaximalPatternsOnPaperExample) {
 
 TEST(SummarizeTest, MaximalSubsetOfClosedSubsetOfAll) {
   const auto db = testutil::RandomDb(77, 400, 40, 6.0);
-  auto fp = CreateMiner(MinerKind::kEclat)->Mine(db, 15);
+  auto fp = MinePatterns(*CreateMiner(MinerKind::kEclat), db, 15);
   ASSERT_TRUE(fp.ok());
   const PatternSet closed = ClosedPatterns(*fp);
   const PatternSet maximal = MaximalPatterns(*fp);
@@ -65,7 +67,7 @@ TEST(SummarizeTest, ClosedSetDeterminesAllSupports) {
   // Lossless property: every frequent pattern's support equals the max
   // support among its closed supersets.
   const auto db = testutil::RandomDb(78, 200, 25, 5.0);
-  auto fp = CreateMiner(MinerKind::kApriori)->Mine(db, 8);
+  auto fp = MinePatterns(*CreateMiner(MinerKind::kApriori), db, 8);
   ASSERT_TRUE(fp.ok());
   const PatternSet closed = ClosedPatterns(*fp);
   for (const auto& p : *fp) {
@@ -82,7 +84,7 @@ TEST(SummarizeTest, ClosedSetDeterminesAllSupports) {
 TEST(SummarizeTest, IdenticalTransactionsCollapseToOneClosed) {
   TransactionDb db;
   for (int i = 0; i < 10; ++i) db.AddTransaction({1, 2, 3});
-  auto fp = CreateMiner(MinerKind::kHMine)->Mine(db, 5);
+  auto fp = MinePatterns(*CreateMiner(MinerKind::kHMine), db, 5);
   ASSERT_TRUE(fp.ok());
   EXPECT_EQ(fp->size(), 7u);
   EXPECT_EQ(ClosedPatterns(*fp).size(), 1u);

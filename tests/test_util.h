@@ -3,10 +3,14 @@
 #ifndef GOGREEN_TESTS_TEST_UTIL_H_
 #define GOGREEN_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "fpm/miner.h"
 #include "fpm/transaction_db.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace gogreen::testutil {
 
@@ -73,6 +77,17 @@ inline fpm::TransactionDb RandomDenseDb(uint64_t seed,
     db.AddTransaction(std::move(row));
   }
   return db;
+}
+
+/// The complete set of `db` (a TransactionDb, or a CompressedDb for a
+/// core::CompressedMiner) at `min_support`, mined through the request API
+/// (MineRequest::At), or the miner's error.
+template <typename Miner, typename Db>
+Result<fpm::PatternSet> MinePatterns(Miner& miner, const Db& db,
+                                     uint64_t min_support) {
+  GOGREEN_ASSIGN_OR_RETURN(fpm::MineResult result,
+                           miner.Mine(db, fpm::MineRequest::At(min_support)));
+  return std::move(result.patterns);
 }
 
 }  // namespace gogreen::testutil

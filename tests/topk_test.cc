@@ -10,6 +10,8 @@
 namespace gogreen::fpm {
 namespace {
 
+using testutil::MinePatterns;
+
 TEST(TopKTest, PaperExampleTop3) {
   TopKOptions options;
   options.k = 3;
@@ -44,7 +46,7 @@ TEST(TopKTest, MatchesCompleteSetPrefix) {
   auto topk = MineTopK(db, options);
   ASSERT_TRUE(topk.ok());
   const uint64_t kth = (*topk)[topk->size() - 1].support;
-  auto complete = CreateMiner(MinerKind::kFpGrowth)->Mine(db, kth);
+  auto complete = MinePatterns(*CreateMiner(MinerKind::kFpGrowth), db, kth);
   ASSERT_TRUE(complete.ok());
   // Every returned pattern's support appears in the complete set with the
   // same value, and nothing in the complete set beats the K-th support

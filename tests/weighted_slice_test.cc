@@ -14,11 +14,12 @@ namespace {
 using fpm::FList;
 using fpm::Rank;
 using fpm::TransactionDb;
+using testutil::MinePatterns;
 
 /// CDB of the paper example compressed at xi_old = 3.
 CompressedDb PaperCdb() {
   const TransactionDb db = testutil::PaperExampleDb();
-  auto fp = fpm::CreateMiner(fpm::MinerKind::kFpGrowth)->Mine(db, 3);
+  auto fp = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kFpGrowth), db, 3);
   EXPECT_TRUE(fp.ok());
   auto cdb = CompressDatabase(db, *fp, {CompressionStrategy::kMcp,
                                         MatcherKind::kLinear});
@@ -80,7 +81,7 @@ TEST(WeightedSliceTest, ProjectionMatchesUnweightedProjection) {
   // ProjectSlices for every item, on randomized compressed databases.
   for (uint64_t seed : {51u, 52u, 53u}) {
     const TransactionDb db = testutil::RandomDb(seed, 250, 30, 5.0);
-    auto fp = fpm::CreateMiner(fpm::MinerKind::kEclat)->Mine(db, 25);
+    auto fp = MinePatterns(*fpm::CreateMiner(fpm::MinerKind::kEclat), db, 25);
     ASSERT_TRUE(fp.ok());
     auto cdb = CompressDatabase(db, *fp, {CompressionStrategy::kMcp,
                                           MatcherKind::kAuto});

@@ -60,7 +60,6 @@
 
 #include "core/compressed_miner.h"
 #include "core/compressor.h"
-#include "core/recycler.h"
 #include "data/dat_io.h"
 #include "data/dense_gen.h"
 #include "data/quest_gen.h"
@@ -283,13 +282,7 @@ Status SavePatterns(const gogreen::fpm::PatternSet& fp, uint64_t min_support,
 /// Parses -s as a fraction (< 1.0) or an absolute count.
 Result<uint64_t> ParseSupport(const Args& args, size_t num_transactions) {
   GOGREEN_ASSIGN_OR_RETURN(const double raw, args.GetDouble("s", 0.01));
-  if (raw <= 0) {
-    return Status::InvalidArgument("-s must be a positive support");
-  }
-  if (raw < 1.0) {
-    return gogreen::fpm::AbsoluteSupport(raw, num_transactions);
-  }
-  return static_cast<uint64_t>(raw);
+  return gogreen::fpm::ResolveSupport(raw, num_transactions);
 }
 
 gogreen::fpm::MinerKind ParseMiner(const std::string& name) {
@@ -308,9 +301,7 @@ gogreen::core::CompressionStrategy ParseStrategy(const std::string& name) {
 
 /// Shared partial-result epilogue for the governed subcommands: records the
 /// stop for the process exit code and names the frontier on stdout.
-/// Accepts fpm::MineOutcome and fpm::MineResult alike.
-template <typename Outcome>
-void ReportPartial(const Outcome& outcome) {
+void ReportPartial(const gogreen::fpm::MineResult& outcome) {
   if (!outcome.partial) return;
   g_partial = true;
   std::printf("partial result: %s; frontier support %llu\n",

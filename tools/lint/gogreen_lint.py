@@ -32,10 +32,15 @@ cannot express:
                       locks through the annotated gogreen::Mutex vocabulary
                       so the clang thread-safety build (DESIGN.md §15) sees
                       every acquisition. std::once_flag/call_once are fine.
-  deprecated-api      The deleted pre-MineRequest entry points
-                      (MineGoverned, MineCompressedGoverned, SetRunContext)
-                      must not reappear under their old names — one query
-                      is one fpm::MineRequest; governors ride in
+  deprecated-api      Deleted APIs must not reappear under their old
+                      names: the pre-MineRequest entry points
+                      (MineGoverned, MineCompressedGoverned, SetRunContext,
+                      MineCompressed), the second orchestrator
+                      (RecyclingSession, RecyclerOptions), the duplicate
+                      result type (MineOutcome, FinishGovernedOutcome), and
+                      the core/constraints.h alias shim. One query is one
+                      fpm::MineRequest answered by Mine(…, request) or
+                      serve::MiningService; governors ride in
                       MineRequest::run_context (internal helpers that bind
                       a context spell it BindRunContext).
   orphan-mutex        Every gogreen::Mutex / SharedMutex member must be
@@ -103,7 +108,9 @@ BACKTICK_RE = re.compile(r"`([^`]+)`")
 ENV_ACCESS_RE = re.compile(r"\b(?:std::)?(?:getenv|secure_getenv|setenv|"
                            r"putenv|unsetenv)\s*\(")
 DEPRECATED_API_RE = re.compile(
-    r"\b(?:MineGoverned|MineCompressedGoverned|SetRunContext)\b")
+    r"\b(?:MineGoverned|MineCompressedGoverned|SetRunContext|MineCompressed|"
+    r"RecyclingSession|RecyclerOptions|MineOutcome|FinishGovernedOutcome)\b")
+DEPRECATED_INCLUDE_RE = re.compile(r'#\s*include\s*"core/constraints\.h"')
 RAW_THREAD_RE = re.compile(r"\bstd::thread\b")
 NAKED_NEW_RE = re.compile(r"\bnew\b|\bdelete\b")
 
@@ -329,9 +336,13 @@ def run_checks(files, registry_text, design_text=""):
             "MutexLock / CondVar so the thread-safety build sees it)")
         violations += scan_pattern(
             path, raw_text, "deprecated-api", DEPRECATED_API_RE,
-            "deleted pre-MineRequest API name (use the unified "
-            "fpm::MineRequest entry point; context-binding helpers are "
-            "spelled BindRunContext)")
+            "deleted API name (use Mine(…, fpm::MineRequest), "
+            "serve::MiningService, and fpm::MineResult; context-binding "
+            "helpers are spelled BindRunContext)")
+        violations += scan_pattern(
+            path, raw_text, "deprecated-api", DEPRECATED_INCLUDE_RE,
+            "deleted alias shim (include fpm/constraints.h)",
+            keep_strings=True)
     violations += check_failpoints(files, registry_text)
     violations += check_metric_naming(files, design_text)
     violations += check_orphan_mutexes(files)
@@ -407,6 +418,26 @@ def self_test():
          "// SetRunContext in a comment\n", False),
         ("deprecated-api", "src/a.cc",
          "ctx->SetRequestId(id);\n", False),
+        ("deprecated-api", "src/a.cc",
+         "core::RecyclingSession session(db);\n", True),
+        ("deprecated-api", "src/a.cc",
+         "core::RecyclerOptions options;\n", True),
+        ("deprecated-api", "src/a.cc",
+         "Result<fpm::MineOutcome> out = Run();\n", True),
+        ("deprecated-api", "src/a.cc",
+         "return FinishGovernedOutcome(std::move(set), 3, ctx);\n", True),
+        ("deprecated-api", "src/a.cc",
+         "auto out = m->MineCompressed(cdb, 3);\n", True),
+        ("deprecated-api", "src/a.cc",
+         '#include "core/constraints.h"\n', True),
+        ("deprecated-api", "src/a.cc",
+         "// RecyclingSession, RecyclerOptions, MineOutcome,\n"
+         "// FinishGovernedOutcome, MineCompressed and\n"
+         '// #include "core/constraints.h" are gone\n', False),
+        ("deprecated-api", "src/a.cc",
+         '#include "fpm/constraints.h"\n'
+         "auto out = MineConstrainedCompressed(cdb, constraints);\n",
+         False),
         ("raw-mutex", "src/a.cc", "std::mutex mu_;\n", True),
         ("raw-mutex", "src/a.cc", "std::scoped_lock lock(mu_);\n", True),
         ("raw-mutex", "src/a.cc",
