@@ -606,10 +606,14 @@ int RunThreadScalingFigure(const char* figure, DatasetId dataset,
                static_cast<uint64_t>(ThreadPool::DefaultThreads()));
 
   ScopedThreadRestore restore_threads;
-  double base_ref = 0.0;
-  double mcp_ref = 0.0;
-  size_t ref_patterns = 0;
+  RunMeasurement base_ref;
+  RunMeasurement mcp_ref;
   bool counts_agree = true;
+  // Same work at every thread count: a miner's counters may not move.
+  const auto same_work = [](const RunMeasurement& a, const RunMeasurement& b) {
+    return a.items_scanned == b.items_scanned &&
+           a.projections_built == b.projections_built;
+  };
   for (size_t i = 0; i < sweep.size(); ++i) {
     ThreadPool::SetGlobalThreads(sweep[i]);
     const RunMeasurement base = Measure([&] {
@@ -621,20 +625,25 @@ int RunThreadScalingFigure(const char* figure, DatasetId dataset,
       return miner->Mine(cdb, fpm::MineRequest::At(sup));
     });
     if (i == 0) {
-      base_ref = base.wall_seconds;
-      mcp_ref = mcp.wall_seconds;
-      ref_patterns = base.patterns;
+      base_ref = base;
+      mcp_ref = mcp;
     }
     // Output is guaranteed bit-identical at any thread count; the pattern
-    // counts double-check that here, outside the unit-test harness.
-    if (base.patterns != ref_patterns || mcp.patterns != ref_patterns) {
+    // counts and work counters double-check that here, outside the
+    // unit-test harness.
+    if (base.patterns != base_ref.patterns ||
+        mcp.patterns != base_ref.patterns || !same_work(base, base_ref) ||
+        !same_work(mcp, mcp_ref)) {
       counts_agree = false;
     }
     std::printf("%-8u %12s %10.2fx %12s %10.2fx %10zu\n", sweep[i],
                 FormatSeconds(base.wall_seconds).c_str(),
-                base.wall_seconds > 0 ? base_ref / base.wall_seconds : 0.0,
+                base.wall_seconds > 0
+                    ? base_ref.wall_seconds / base.wall_seconds
+                    : 0.0,
                 FormatSeconds(mcp.wall_seconds).c_str(),
-                mcp.wall_seconds > 0 ? mcp_ref / mcp.wall_seconds : 0.0,
+                mcp.wall_seconds > 0 ? mcp_ref.wall_seconds / mcp.wall_seconds
+                                     : 0.0,
                 base.patterns);
     std::fflush(stdout);
 
@@ -645,8 +654,10 @@ int RunThreadScalingFigure(const char* figure, DatasetId dataset,
   }
   std::printf("result check: %s\n\n",
               counts_agree
-                  ? "pattern counts agree across all thread counts"
-                  : "MISMATCH in pattern counts across threads (BUG)");
+                  ? "pattern counts and work counters agree across all "
+                    "thread counts"
+                  : "MISMATCH in pattern counts or work counters across "
+                    "threads (BUG)");
 
   if (options.json &&
       !report.WriteTo(JsonPathFor(figure, options), figure)) {

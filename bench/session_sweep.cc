@@ -9,20 +9,10 @@
 // `--json [path]` additionally writes BENCH_session_sweep.json with one row
 // per request: dataset, support, route, wall seconds, compression seconds,
 // compression ratio, and the pattern count.
-//
-// `--via-socket` runs the identical sweep through the wire: an in-process
-// daemon (net::Server) on a unix socket, every request a framed
-// net::WireRequest from a net::Client. The route/pattern columns must
-// match the direct mode exactly; the timing delta IS the protocol
-// overhead, so committing both modes' JSON makes the wire tax visible in
-// the perf trajectory.
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,11 +20,7 @@
 #include "core/seed_selection.h"
 #include "data/datasets.h"
 #include "fpm/miner.h"
-#include "net/client.h"
-#include "net/server.h"
-#include "net/wire.h"
 #include "serve/mining_service.h"
-#include "util/env.h"
 #include "util/status.h"
 
 namespace gogreen::bench {
@@ -51,42 +37,20 @@ struct SweepRow {
   uint64_t patterns = 0;
 };
 
-/// One sweep target: either the service directly (in-process) or the same
-/// service behind a daemon socket (`--via-socket`).
-struct SweepTarget {
-  serve::MiningService* service = nullptr;
-  net::Client* client = nullptr;  ///< Non-null in socket mode.
-};
-
-Status ServeOne(const SweepTarget& target, double xi, uint64_t min_support,
-                std::vector<SweepRow>* rows) {
+Status ServeOne(serve::MiningService& service, double xi,
+                uint64_t min_support, std::vector<SweepRow>* rows) {
   SweepRow row;
-  row.dataset = target.service->dataset_id();
+  row.dataset = service.dataset_id();
   row.xi = xi;
   row.min_support = min_support;
-  if (target.client != nullptr) {
-    net::WireRequest request;
-    request.verb = net::Verb::kMine;
-    request.support = static_cast<double>(min_support);
-    GOGREEN_ASSIGN_OR_RETURN(const net::WireResponse resp,
-                             target.client->Call(request));
-    GOGREEN_RETURN_NOT_OK(resp.ToStatus());
-    row.route = resp.route;
-    row.seconds = resp.seconds;
-    row.compress_seconds = resp.compress_seconds;
-    row.ratio = resp.compression_ratio;
-    row.patterns = resp.patterns;
-  } else {
-    serve::ServeStats stats;
-    GOGREEN_RETURN_NOT_OK(
-        target.service->Mine(fpm::MineRequest::At(min_support), &stats)
-            .status());
-    row.route = core::SeedRouteName(stats.route);
-    row.seconds = stats.seconds;
-    row.compress_seconds = stats.compress_seconds;
-    row.ratio = stats.compression_ratio;
-    row.patterns = stats.patterns_returned;
-  }
+  serve::ServeStats stats;
+  GOGREEN_RETURN_NOT_OK(
+      service.Mine(fpm::MineRequest::At(min_support), &stats).status());
+  row.route = core::SeedRouteName(stats.route);
+  row.seconds = stats.seconds;
+  row.compress_seconds = stats.compress_seconds;
+  row.ratio = stats.compression_ratio;
+  row.patterns = stats.patterns_returned;
   rows->push_back(row);
   std::printf("  %-14s xi=%-7.4g support=%-8" PRIu64
               " route=%-11s patterns=%-8" PRIu64 " %s\n",
@@ -95,45 +59,24 @@ Status ServeOne(const SweepTarget& target, double xi, uint64_t min_support,
   return Status::OK();
 }
 
-Status SweepDataset(data::DatasetId id, bool via_socket,
-                    std::vector<SweepRow>* rows) {
+Status SweepDataset(data::DatasetId id, std::vector<SweepRow>* rows) {
   const data::DatasetSpec& spec = data::GetDatasetSpec(id);
   GOGREEN_ASSIGN_OR_RETURN(fpm::TransactionDb db,
                            data::MakeDataset(id, GetBenchScale()));
   const size_t n = db.NumTransactions();
   serve::MiningService service(std::move(db), spec.name);
 
-  // Socket mode: stand up a daemon over this service and route every
-  // request through a real framed connection. The temp dir holding the
-  // socket is declared first so it outlives the server's shutdown.
-  std::optional<ScopedTempDir> dir;
-  std::unique_ptr<net::Server> server;
-  std::unique_ptr<net::Client> client;
-  if (via_socket) {
-    auto dir_or = ScopedTempDir::Create(TempDir(), "gg_sweep_");
-    GOGREEN_RETURN_NOT_OK(dir_or.status());
-    dir.emplace(std::move(dir_or.value()));
-    net::ServerOptions options;
-    options.unix_path = dir->path() + "/gg.sock";
-    server = std::make_unique<net::Server>(service, nullptr, options);
-    GOGREEN_RETURN_NOT_OK(server->Start());
-    GOGREEN_ASSIGN_OR_RETURN(net::Client connected,
-                             net::Client::ConnectUnix(options.unix_path));
-    client = std::make_unique<net::Client>(std::move(connected));
-  }
-  const SweepTarget target{&service, client.get()};
-
   // The paper's sweep as a session: tight first, then relax step by step.
   GOGREEN_RETURN_NOT_OK(
-      ServeOne(target, spec.xi_old, fpm::AbsoluteSupport(spec.xi_old, n),
+      ServeOne(service, spec.xi_old, fpm::AbsoluteSupport(spec.xi_old, n),
                rows));
   for (const double xi : spec.xi_new_sweep) {
     GOGREEN_RETURN_NOT_OK(
-        ServeOne(target, xi, fpm::AbsoluteSupport(xi, n), rows));
+        ServeOne(service, xi, fpm::AbsoluteSupport(xi, n), rows));
   }
   // Re-query the first threshold: an exact hit off the store.
   GOGREEN_RETURN_NOT_OK(
-      ServeOne(target, spec.xi_old, fpm::AbsoluteSupport(spec.xi_old, n),
+      ServeOne(service, spec.xi_old, fpm::AbsoluteSupport(spec.xi_old, n),
                rows));
   // A support between the two tightest cached thresholds: filter-down.
   const uint64_t hi = fpm::AbsoluteSupport(spec.xi_old, n);
@@ -141,10 +84,9 @@ Status SweepDataset(data::DatasetId id, bool via_socket,
   const uint64_t mid = (hi + lo) / 2;
   if (mid > lo && mid < hi) {
     GOGREEN_RETURN_NOT_OK(
-        ServeOne(target, static_cast<double>(mid) / static_cast<double>(n),
+        ServeOne(service, static_cast<double>(mid) / static_cast<double>(n),
                  mid, rows));
   }
-  if (server != nullptr) server->Stop();
   return Status::OK();
 }
 
@@ -161,17 +103,13 @@ std::string RowJson(const SweepRow& row) {
   return buf;
 }
 
-int RunSessionSweep(const BenchOptions& options, bool via_socket) {
+int RunSessionSweep(const BenchOptions& options) {
   PrintHeader("session sweep",
-              via_socket
-                  ? "Per-route service timings over the paper's "
-                    "relax-support sweeps (framed requests over a unix "
-                    "socket daemon)"
-                  : "Per-route service timings over the paper's "
-                    "relax-support sweeps");
+              "Per-route service timings over the paper's relax-support "
+              "sweeps");
   std::vector<SweepRow> rows;
   for (const data::DatasetId id : data::kAllDatasets) {
-    const Status status = SweepDataset(id, via_socket, &rows);
+    const Status status = SweepDataset(id, &rows);
     if (!status.ok()) {
       std::fprintf(stderr, "session sweep failed: %s\n",
                    status.ToString().c_str());
@@ -229,10 +167,6 @@ int RunSessionSweep(const BenchOptions& options, bool via_socket) {
 }  // namespace gogreen::bench
 
 int main(int argc, char** argv) {
-  bool via_socket = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--via-socket") == 0) via_socket = true;
-  }
   return gogreen::bench::RunSessionSweep(
-      gogreen::bench::ParseBenchOptions(argc, argv), via_socket);
+      gogreen::bench::ParseBenchOptions(argc, argv));
 }

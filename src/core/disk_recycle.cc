@@ -266,15 +266,14 @@ Status MineSlicePartition(std::vector<Slice> slices, const fpm::FList& flist,
   slices.clear();
   slices.shrink_to_fit();
 
-  // Governed runs walk the partitions most-frequent-first: when a stop
-  // abandons the walk, the contiguously-completed head covers every support
-  // strictly above the first unfinished partition's, which is a sound
-  // frontier. Ungoverned runs keep the ascending (sequential-output) order.
+  // Partitions are walked most-frequent-first, as MineFirstLevel claims
+  // subtrees: when a governed stop abandons the walk, the contiguously-
+  // completed head covers every support strictly above the first
+  // unfinished partition's, which is a sound frontier.
   std::vector<Rank> order;
-  for (Rank r = 0; r < flist.size(); ++r) {
+  for (Rank r = static_cast<Rank>(flist.size()); r-- > 0;) {
     if (counts[r] >= min_support) order.push_back(r);
   }
-  if (ctx != nullptr) std::reverse(order.begin(), order.end());
 
   size_t processed = 0;
   bool stopped = false;

@@ -27,8 +27,8 @@ namespace gogreen::core {
 size_t EstimateSliceMineMemory(size_t total_items, size_t total_out_rows,
                                size_t num_slices, size_t flist_items);
 
-/// Memory-limited Recycle-HM: identical output to RecycleHMineMiner but
-/// bounded by `memory_limit` bytes of mining structures, spilling
+/// Memory-limited Recycle-HM: the same pattern set as RecycleHMineMiner
+/// but bounded by `memory_limit` bytes of mining structures, spilling
 /// projections to a run-private directory under `temp_dir` when necessary.
 /// The run directory is removed on every exit path (success, IO error, or
 /// governed stop). Spill IO retries transient failures with bounded
@@ -36,7 +36,7 @@ size_t EstimateSliceMineMemory(size_t total_items, size_t total_out_rows,
 /// (optional) governs the run — on a deadline/budget/cancel breach
 /// partitions are abandoned at a boundary and the context is marked
 /// incomplete with a sound frontier support (partitions are processed
-/// most-frequent-first when governed).
+/// most-frequent-first).
 Result<fpm::PatternSet> MineRecycleHMMemoryLimited(
     const CompressedDb& cdb, uint64_t min_support, size_t memory_limit,
     const std::string& temp_dir, fpm::MiningStats* stats = nullptr,

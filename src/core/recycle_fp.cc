@@ -83,65 +83,46 @@ Result<fpm::PatternSet> RecycleFpMiner::MineImpl(
     std::vector<Rank> prefix;
     const std::vector<WeightedSlice> root = BuildWeightedSlices(sdb);
 
-    if (run_ctx_ == nullptr && !fpm::ParallelMiningEnabled()) {
-      RecycleFpContext ctx(&base);
-      ctx.Mine(root, &prefix);
-    } else {
-      // Expand the root level once (count + the Lemma 3.1 shortcut), then
-      // fan the first-level projections out to the pool. Every worker
-      // projects from the shared read-only root slices; ascending-rank
-      // shard merge reproduces the sequential emission order exactly. A
-      // governed run fans descending instead, so an early stop yields a
-      // sound frontier.
-      std::vector<uint64_t> freq_counts;
-      const std::vector<Rank> frequent =
-          base.CountFrequentWeighted(root, &freq_counts);
-      if (!frequent.empty() &&
-          !base.TrySingleGroupWeighted(root, frequent, freq_counts,
-                                       &prefix)) {
-        // Lane-local contexts reuse the counting scratch across subtrees.
-        const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();
-        std::vector<std::unique_ptr<SliceMiningContext>> lanes(
-            pool->threads());
-        const auto mine_subtree = [&](fpm::MineShard* shard, size_t lane,
-                                      size_t i) -> bool {
-          auto& lane_base = lanes[lane];
-          if (!lane_base) {
-            lane_base = std::make_unique<SliceMiningContext>(
-                flist, min_support, nullptr, nullptr);
-            lane_base->BindRunContext(run_ctx_);
-          }
-          lane_base->SetSinks(&shard->patterns, &shard->stats);
-          std::vector<Rank> sub_prefix;
-          sub_prefix.push_back(frequent[i]);
-          lane_base->EmitPattern(sub_prefix, freq_counts[i]);
-          const std::vector<WeightedSlice> projected =
-              ProjectWeightedSlices(root, frequent[i]);
-          ++shard->stats.projections_built;
-          if (projected.empty()) return true;
-          const ScopedBytes charge(
-              run_ctx_,
-              run_ctx_ != nullptr ? ApproxWeightedSliceBytes(projected) : 0);
-          RecycleFpContext ctx(lane_base.get());
-          return ctx.Mine(projected, &sub_prefix);
-        };
-
-        if (run_ctx_ == nullptr) {
-          fpm::MineFirstLevelParallel(
-              pool, frequent.size(),
-              [&](fpm::MineShard* shard, size_t lane, size_t i) {
-                mine_subtree(shard, lane, i);
-              },
-              &out, &stats_);
-        } else {
-          // Root slices stay live for the whole fan-out.
-          const ScopedBytes root_charge(run_ctx_,
-                                        ApproxWeightedSliceBytes(root));
-          fpm::MineFirstLevelGoverned(pool, frequent.size(), mine_subtree,
-                                      &out, &stats_, run_ctx_, freq_counts,
-                                      /*mark_frontier=*/true);
+    // Expand the root level once (count + the Lemma 3.1 shortcut), then
+    // mine the first-level projections through MineFirstLevel. Every
+    // subtree projects from the shared read-only root slices.
+    std::vector<uint64_t> freq_counts;
+    const std::vector<Rank> frequent =
+        base.CountFrequentWeighted(root, &freq_counts);
+    if (!frequent.empty() &&
+        !base.TrySingleGroupWeighted(root, frequent, freq_counts, &prefix)) {
+      // Lane-local contexts reuse the counting scratch across subtrees.
+      const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();
+      std::vector<std::unique_ptr<SliceMiningContext>> lanes(
+          pool->threads());
+      const auto mine_subtree = [&](fpm::MineShard* shard, size_t lane,
+                                    size_t i) -> bool {
+        auto& lane_base = lanes[lane];
+        if (!lane_base) {
+          lane_base = std::make_unique<SliceMiningContext>(
+              flist, min_support, nullptr, nullptr);
+          lane_base->BindRunContext(run_ctx_);
         }
-      }
+        lane_base->SetSinks(&shard->patterns, &shard->stats);
+        std::vector<Rank> sub_prefix;
+        sub_prefix.push_back(frequent[i]);
+        lane_base->EmitPattern(sub_prefix, freq_counts[i]);
+        const std::vector<WeightedSlice> projected =
+            ProjectWeightedSlices(root, frequent[i]);
+        ++shard->stats.projections_built;
+        if (projected.empty()) return true;
+        const ScopedBytes charge(
+            run_ctx_,
+            run_ctx_ != nullptr ? ApproxWeightedSliceBytes(projected) : 0);
+        RecycleFpContext ctx(lane_base.get());
+        return ctx.Mine(projected, &sub_prefix);
+      };
+
+      // Root slices stay live for the whole fan-out.
+      const ScopedBytes root_charge(
+          run_ctx_, run_ctx_ != nullptr ? ApproxWeightedSliceBytes(root) : 0);
+      fpm::MineFirstLevel(pool, frequent.size(), mine_subtree, &out, &stats_,
+                          run_ctx_, freq_counts, /*mark_frontier=*/true);
     }
   }
 

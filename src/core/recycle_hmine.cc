@@ -296,8 +296,8 @@ class RecycleHmContext {
 
  public:
   /// One counting pass over all species: the frequent extension ranks
-  /// ascending, with `freq_counts[i]` their supports. Exposed so the
-  /// parallel driver can expand the root level before fanning out.
+  /// ascending, with `freq_counts[i]` their supports. Exposed so
+  /// MineSlicesHM can expand the root level before fanning out.
   std::vector<Rank> Count(const ProjectedDb& projs,
                           std::vector<uint64_t>* freq_counts) {
     std::vector<Rank> touched;
@@ -609,16 +609,11 @@ bool MineSlicesHM(const SliceDb& sdb, const fpm::FList& flist,
   std::vector<Rank> prefix = prefix_ranks;
   const ProjectedDb root = root_ctx.Root();
 
-  if (run_ctx == nullptr && !fpm::ParallelMiningEnabled()) {
-    root_ctx.Mine(root, &prefix);
-    return true;
-  }
-
-  // Expand the root level once, then fan the first-level projections out to
-  // the pool. A plain-only root goes through the general Count/BuildBuckets
-  // path here; it produces the same buckets, patterns, and counters as the
-  // PlainMine shortcut (which only skips the species bookkeeping), so output
-  // stays bit-identical to the sequential path.
+  // Expand the root level once, then mine the first-level projections
+  // through MineFirstLevel. A plain-only root goes through the general
+  // Count/BuildBuckets path here; it produces the same buckets, patterns,
+  // and counters as the PlainMine shortcut (which only skips the species
+  // bookkeeping).
   std::vector<uint64_t> freq_counts;
   const std::vector<Rank> frequent = root_ctx.Count(root, &freq_counts);
   if (frequent.empty()) return true;
@@ -653,26 +648,20 @@ bool MineSlicesHM(const SliceDb& sdb, const fpm::FList& flist,
     sub_prefix.push_back(frequent[i]);
     slot.base->EmitPattern(sub_prefix, freq_counts[i]);
     if (buckets[i].empty()) return true;
-    return slot.ctx->Mine(buckets[i], &sub_prefix);
+    const bool completed = slot.ctx->Mine(buckets[i], &sub_prefix);
+    buckets[i] = ProjectedDb();  // Release level memory eagerly.
+    return completed;
   };
 
-  if (run_ctx == nullptr) {
-    fpm::MineFirstLevelParallel(
-        pool, frequent.size(),
-        [&](fpm::MineShard* shard, size_t lane, size_t i) {
-          mine_subtree(shard, lane, i);
-        },
-        out, stats);
-    return true;
-  }
-
-  // Governed: root buckets stay live for the whole fan-out.
+  // Root buckets are charged for the whole fan-out.
   size_t root_bytes = 0;
-  for (const ProjectedDb& b : buckets) root_bytes += ProjectedDbBytes(b);
+  if (run_ctx != nullptr) {
+    for (const ProjectedDb& b : buckets) root_bytes += ProjectedDbBytes(b);
+  }
   const ScopedBytes root_charge(run_ctx, root_bytes);
-  return fpm::MineFirstLevelGoverned(pool, frequent.size(), mine_subtree, out,
-                                     stats, run_ctx, freq_counts,
-                                     /*mark_frontier=*/prefix_ranks.empty());
+  return fpm::MineFirstLevel(pool, frequent.size(), mine_subtree, out, stats,
+                             run_ctx, freq_counts,
+                             /*mark_frontier=*/prefix_ranks.empty());
 }
 
 Result<fpm::PatternSet> RecycleHMineMiner::MineImpl(

@@ -218,14 +218,12 @@ Result<fpm::PatternSet> RecycleTpMiner::MineImpl(
     std::vector<Rank> prefix;
     const std::vector<WeightedSlice> root = BuildWeightedSlices(sdb);
 
-    if ((run_ctx_ == nullptr && !fpm::ParallelMiningEnabled()) ||
-        ext.size() < 2) {
+    if (ext.size() < 2) {
       ctx.Process(root, ext, c1, &prefix);
     } else if (!base.TrySingleGroupWeighted(root, ext, c1, &prefix)) {
       // Root expansion mirrors Process(): singletons, one matrix fill, then
-      // the first-level children — fanned out to the pool, each only
-      // reading the shared matrix and root slices. Ascending-child shard
-      // merge reproduces the sequential emission order exactly.
+      // the first-level children through MineFirstLevel, each only reading
+      // the shared matrix and root slices.
       for (size_t i = 0; i < ext.size(); ++i) {
         prefix.push_back(ext[i]);
         base.EmitPattern(prefix, c1[i]);
@@ -255,26 +253,18 @@ Result<fpm::PatternSet> RecycleTpMiner::MineImpl(
         return slot.ctx->MineChild(root, ext, matrix, i, &sub_prefix);
       };
 
-      if (run_ctx_ == nullptr) {
-        fpm::MineFirstLevelParallel(
-            pool, ext.size() - 1,
-            [&](fpm::MineShard* shard, size_t lane, size_t i) {
-              mine_subtree(shard, lane, i);
-            },
-            &out, &stats_);
-      } else {
-        // Governed: fan children descending. Child i's subtree holds the
-        // patterns whose rarest item is ext[i], supported at most c1[i];
-        // root slices and matrix stay live for the whole fan-out.
-        const std::vector<uint64_t> level_supports(c1.begin(), c1.end() - 1);
-        const ScopedBytes root_charge(
-            run_ctx_, ApproxWeightedSliceBytes(root) +
-                          ext.size() * (ext.size() - 1) / 2 *
-                              sizeof(uint64_t));
-        fpm::MineFirstLevelGoverned(pool, ext.size() - 1, mine_subtree, &out,
-                                    &stats_, run_ctx_, level_supports,
-                                    /*mark_frontier=*/true);
+      // Child i's subtree holds the patterns whose rarest item is ext[i],
+      // supported at most c1[i]; root slices and matrix stay live for the
+      // whole fan-out.
+      const std::vector<uint64_t> level_supports(c1.begin(), c1.end() - 1);
+      size_t root_bytes = 0;
+      if (run_ctx_ != nullptr) {
+        root_bytes = ApproxWeightedSliceBytes(root) +
+                     ext.size() * (ext.size() - 1) / 2 * sizeof(uint64_t);
       }
+      const ScopedBytes root_charge(run_ctx_, root_bytes);
+      fpm::MineFirstLevel(pool, ext.size() - 1, mine_subtree, &out, &stats_,
+                          run_ctx_, level_supports, /*mark_frontier=*/true);
     }
   }
 

@@ -360,21 +360,18 @@ Result<PatternSet> FpGrowthMiner::MineImpl(const TransactionDb& db,
     std::vector<Rank> identity(flist.size());
     for (Rank r = 0; r < flist.size(); ++r) identity[r] = r;
 
-    // With multiple lanes, fan the header ranks of the root tree out to the
-    // pool — each rank's conditional mining only reads the shared tree.
-    // Ascending-rank shard merge reproduces the sequential header order, so
-    // the output is bit-identical at any thread count. A single-path root
-    // (no per-rank decomposition) keeps the sequential shortcut.
-    if (run_ctx_ != nullptr && !tree.empty() && tree.SinglePath().empty()) {
-      // Governed: fan header ranks descending. Root header counts equal the
+    if (!tree.empty() && tree.SinglePath().empty()) {
+      // Fan the header ranks of the root tree out: each rank's conditional
+      // mining only reads the shared tree. Root header counts equal the
       // F-list supports (every root rank is frequent), giving the ascending
-      // level supports the frontier computation needs.
+      // level supports a governed frontier needs.
       std::vector<uint64_t> level_supports(flist.size());
       for (Rank r = 0; r < flist.size(); ++r) {
         level_supports[r] = tree.HeaderCount(r);
       }
-      const ScopedBytes root_charge(run_ctx_, tree.MemoryUsage());
-      MineFirstLevelGoverned(
+      const ScopedBytes root_charge(
+          run_ctx_, run_ctx_ != nullptr ? tree.MemoryUsage() : 0);
+      MineFirstLevel(
           ThreadPool::Global(), flist.size(),
           [&](MineShard* shard, size_t /*lane*/, size_t i) -> bool {
             const Rank r = static_cast<Rank>(i);
@@ -385,20 +382,9 @@ Result<PatternSet> FpGrowthMiner::MineImpl(const TransactionDb& db,
             return ctx.MineHeaderRank(tree, identity, r, &prefix);
           },
           &out, &stats_, run_ctx_, level_supports, /*mark_frontier=*/true);
-    } else if (ParallelMiningEnabled() && !tree.empty() &&
-               tree.SinglePath().empty()) {
-      MineFirstLevelParallel(
-          ThreadPool::Global(), flist.size(),
-          [&](MineShard* shard, size_t /*lane*/, size_t i) {
-            const Rank r = static_cast<Rank>(i);
-            if (tree.HeaderCount(r) < min_support) return;
-            FpGrowthContext ctx(flist, min_support, &shard->patterns,
-                                &shard->stats);
-            std::vector<Rank> prefix;
-            ctx.MineHeaderRank(tree, identity, r, &prefix);
-          },
-          &out, &stats_);
     } else {
+      // A single-path root has no per-rank decomposition: enumerate it
+      // (or, past kMaxSinglePath, walk its header) in place.
       std::vector<Rank> prefix;
       FpGrowthContext ctx(flist, min_support, &out, &stats_);
       ctx.BindRunContext(run_ctx_);

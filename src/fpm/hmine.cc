@@ -77,9 +77,10 @@ class HMineContext {
 
   /// Mines the projected database `projs` under `prefix` (prefix given in
   /// ranks). A dense projection is handed to an FP-tree, where shared
-  /// prefixes are counted once; any other expands one H-struct level and
-  /// recurses depth-first in ascending extension-rank order. Returns false
-  /// iff a governed stop abandoned part of the subtree (always true
+  /// prefixes are counted once; any other expands one H-struct level, emits
+  /// each frequent extension and recurses into its bucket depth-first in
+  /// ascending extension-rank order, releasing buckets as it goes. Returns
+  /// false iff a governed stop abandoned part of the subtree (always true
   /// ungoverned).
   bool Mine(const std::vector<Suffix>& projs, std::vector<Rank>* prefix) {
     std::vector<Rank> frequent;
@@ -90,16 +91,6 @@ class HMineContext {
     }
     std::vector<std::vector<Suffix>> buckets;
     Thread(projs, frequent, freq_counts, &buckets);
-    return MineLevel(frequent, freq_counts, &buckets, prefix);
-  }
-
-  /// Mines an expanded level (Expand's outputs) under `prefix`: emits each
-  /// frequent extension and recurses into its bucket, releasing buckets as
-  /// it goes. Returns false iff a governed stop abandoned work.
-  bool MineLevel(const std::vector<Rank>& frequent,
-                 const std::vector<uint64_t>& freq_counts,
-                 std::vector<std::vector<Suffix>>* buckets,
-                 std::vector<Rank>* prefix) {
     // The suffix buckets are this level's dominant scratch; charge them for
     // the time the recursion below keeps them alive.
     const ScopedBytes charge(
@@ -113,10 +104,10 @@ class HMineContext {
       }
       prefix->push_back(frequent[i]);
       EmitPattern(*prefix, freq_counts[i]);
-      if (!Mine((*buckets)[i], prefix)) completed = false;
+      if (!Mine(buckets[i], prefix)) completed = false;
       prefix->pop_back();
-      (*buckets)[i].clear();
-      (*buckets)[i].shrink_to_fit();  // Release level memory eagerly.
+      buckets[i].clear();
+      buckets[i].shrink_to_fit();  // Release level memory eagerly.
     }
     return completed;
   }
@@ -215,14 +206,11 @@ class HMineContext {
   std::vector<size_t> bucket_of_;   // Scratch, SIZE_MAX between calls.
 };
 
-/// Drives one full H-Mine run over `source`. With one global lane this is
-/// the plain depth-first recursion; with more, the root level is expanded
-/// once and its subtrees fan out to the pool, each mining into a private
-/// shard merged in ascending extension order — the sequential emission
-/// order, so output is bit-identical at any thread count. A governed run
-/// (run_ctx != null) instead fans descending through
-/// MineFirstLevelGoverned, at any lane count, so an early stop yields a
-/// sound frontier. Returns false iff a governed stop abandoned work.
+/// Drives one full H-Mine run over `source`: the root level is expanded
+/// once, then MineFirstLevel mines its subtrees, each into a private shard
+/// merged in ascending extension order, so output is bit-identical at any
+/// thread count and a governed stop yields a sound frontier. Returns false
+/// iff a governed stop abandoned work.
 template <typename RowSource>
 bool MineHM(const RowSource& source, const FList& flist, uint64_t min_support,
             const std::vector<Suffix>& all, const std::vector<Rank>& prefix0,
@@ -234,11 +222,6 @@ bool MineHM(const RowSource& source, const FList& flist, uint64_t min_support,
   std::vector<uint64_t> freq_counts;
   std::vector<std::vector<Suffix>> buckets;
   root.Expand(all, &frequent, &freq_counts, &buckets);
-  std::vector<Rank> prefix = prefix0;
-  if (run_ctx == nullptr && !ParallelMiningEnabled()) {
-    root.MineLevel(frequent, freq_counts, &buckets, &prefix);
-    return true;
-  }
 
   // Lane-local contexts reuse their rank-indexed scratch across subtrees.
   // The pool is pinned here so lane ids stay < lane_ctx.size() even if the
@@ -255,28 +238,21 @@ bool MineHM(const RowSource& source, const FList& flist, uint64_t min_support,
       ctx->BindRunContext(run_ctx);
     }
     ctx->SetSinks(&shard->patterns, &shard->stats);
-    std::vector<Rank> sub_prefix = prefix;
+    std::vector<Rank> sub_prefix = prefix0;
     sub_prefix.push_back(frequent[i]);
     ctx->EmitPattern(sub_prefix, freq_counts[i]);
-    return ctx->Mine(buckets[i], &sub_prefix);
+    const bool completed = ctx->Mine(buckets[i], &sub_prefix);
+    buckets[i].clear();
+    buckets[i].shrink_to_fit();  // Release level memory eagerly.
+    return completed;
   };
 
-  if (run_ctx == nullptr) {
-    MineFirstLevelParallel(
-        pool, frequent.size(),
-        [&](MineShard* shard, size_t lane, size_t i) {
-          mine_subtree(shard, lane, i);
-        },
-        out, stats);
-    return true;
-  }
-
-  // Governed: root buckets stay live for the whole fan-out.
+  // Root buckets are charged for the whole fan-out.
   const ScopedBytes root_charge(
-      run_ctx, AllBucketBytes(freq_counts));
-  return MineFirstLevelGoverned(pool, frequent.size(), mine_subtree, out,
-                                stats, run_ctx, freq_counts,
-                                /*mark_frontier=*/prefix0.empty());
+      run_ctx, run_ctx != nullptr ? AllBucketBytes(freq_counts) : 0);
+  return MineFirstLevel(pool, frequent.size(), mine_subtree, out, stats,
+                        run_ctx, freq_counts,
+                        /*mark_frontier=*/prefix0.empty());
 }
 
 /// Root-level Expand() repackaged into the neutral view the validators

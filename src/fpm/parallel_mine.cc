@@ -11,32 +11,11 @@
 
 namespace gogreen::fpm {
 
-bool ParallelMiningEnabled() { return ThreadPool::GlobalThreads() > 1; }
-
-void MineFirstLevelParallel(
-    const std::shared_ptr<ThreadPool>& pool, size_t n,
-    const std::function<void(MineShard* shard, size_t lane, size_t i)>& mine,
-    PatternSet* out, MiningStats* stats) {
-  if (n == 0) return;
-  std::vector<MineShard> shards(n);
-  pool->ParallelFor(n, [&shards, &mine](size_t lane, size_t i) {
-    mine(&shards[i], lane, i);
-  });
-  // Ascending-index merge reproduces the sequential emission order exactly.
-  for (MineShard& shard : shards) {
-    out->Append(std::move(shard.patterns));
-    stats->patterns_emitted += shard.stats.patterns_emitted;
-    stats->projections_built += shard.stats.projections_built;
-    stats->items_scanned += shard.stats.items_scanned;
-  }
-}
-
-bool MineFirstLevelGoverned(
+bool MineFirstLevel(
     const std::shared_ptr<ThreadPool>& pool, size_t n,
     const std::function<bool(MineShard* shard, size_t lane, size_t i)>& mine,
     PatternSet* out, MiningStats* stats, RunContext* ctx,
     const std::vector<uint64_t>& level_supports, bool mark_frontier) {
-  GOGREEN_DCHECK(ctx != nullptr);
   GOGREEN_DCHECK_EQ(level_supports.size(), n);
   if (n == 0) return true;
 
@@ -47,7 +26,7 @@ bool MineFirstLevelGoverned(
   const auto lane_body = [&](size_t lane) {
     size_t k;
     while ((k = cursor.fetch_add(1, std::memory_order_relaxed)) < n) {
-      if (ctx->PollNow()) break;
+      if (ctx != nullptr && ctx->PollNow()) break;
       const size_t i = n - 1 - k;
       if (mine(&shards[i], lane, i)) done[i] = 1;
     }
@@ -70,7 +49,7 @@ bool MineFirstLevelGoverned(
   // subtree still trips promptly and the workers unwind at their next
   // internal check.
   while (!pool->WaitFor(&wg, std::chrono::milliseconds(20))) {
-    ctx->PollNow();
+    if (ctx != nullptr) ctx->PollNow();
   }
   if (caller_error) std::rethrow_exception(caller_error);
 
@@ -86,7 +65,7 @@ bool MineFirstLevelGoverned(
     ++completed_top;
   }
   if (completed_top == n) return true;
-  if (mark_frontier) {
+  if (mark_frontier && ctx != nullptr) {
     // The highest uncompleted subtree bounds what the emitted set is
     // complete for: everything strictly above its extension's support.
     ctx->MarkIncomplete(level_supports[n - 1 - completed_top] + 1);

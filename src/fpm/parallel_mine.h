@@ -1,12 +1,12 @@
-// First-level fan-out shared by the parallel miners.
+// First-level fan-out shared by the projection miners.
 //
 // Every projection-based miner in the substrate has the same outer shape:
 // one root pass discovers the frequent first-level extensions, then each
 // extension's projected database is mined independently. The fan-out here
 // runs those subtrees on the global ThreadPool, each into a private
 // (PatternSet, MiningStats) shard, and merges the shards back in ascending
-// extension order — exactly the order the sequential loop emits — so the
-// result is bit-identical for every thread count.
+// extension order — exactly the order a depth-first root loop emits — so
+// the result is bit-identical for every thread count, governed or not.
 //
 // Lock-discipline audit (DESIGN.md §15): this layer holds no mutex of its
 // own. Each shard is written by exactly one lane (the ThreadPool lane-
@@ -37,49 +37,41 @@ struct MineShard {
   MiningStats stats;
 };
 
-/// True when a first-level fan-out would actually run concurrently (the
-/// global pool has more than one lane). Miners use this to keep the
-/// unmodified sequential recursion as the single-thread path.
-bool ParallelMiningEnabled();
-
-/// Runs `mine(shard, lane, i)` for each first-level extension i in [0, n)
-/// on `pool`, then appends each shard's patterns to `out` and sums its work
-/// counters into `stats`, in ascending i order. Callers obtain `pool` from
-/// ThreadPool::Global() and hold it across the call (plus any lane-indexed
-/// scratch sized from pool->threads()), so a concurrent SetGlobalThreads()
-/// can neither destroy the pool mid-run nor desynchronize lane ids from
-/// the scratch size. `lane` < pool->threads(); no two concurrent calls
-/// share a lane, so lane-indexed scratch contexts need no locking.
-/// Exceptions from `mine` propagate after all started subtrees finish.
-void MineFirstLevelParallel(
-    const std::shared_ptr<ThreadPool>& pool, size_t n,
-    const std::function<void(MineShard* shard, size_t lane, size_t i)>& mine,
-    PatternSet* out, MiningStats* stats);
-
-/// Governed first-level fan-out. Differs from MineFirstLevelParallel in
-/// three ways that together make an early stop sound:
-///   - Subtrees are claimed in DESCENDING index order. The F-list is
-///     support-ascending, so the most frequent extensions — whose subtrees
-///     contain every high-support pattern — are mined first.
+/// The one first-level fan-out. Runs `mine(shard, lane, i)` for each
+/// first-level extension i in [0, n) on `pool`, then appends each shard's
+/// patterns to `out` and sums its work counters into `stats`, in ascending
+/// i order. Callers obtain `pool` from ThreadPool::Global() and hold it
+/// across the call (plus any lane-indexed scratch sized from
+/// pool->threads()), so a concurrent SetGlobalThreads() can neither destroy
+/// the pool mid-run nor desynchronize lane ids from the scratch size.
+/// `lane` < pool->threads(); no two concurrent calls share a lane, so
+/// lane-indexed scratch contexts need no locking. With a 1-lane pool the
+/// caller mines every subtree itself.
+///
+/// Subtrees are claimed in DESCENDING index order. The F-list is
+/// support-ascending, so the most frequent extensions — whose subtrees
+/// contain every high-support pattern — are mined first. That order is
+/// what makes an early stop of a governed run (`ctx` non-null) sound:
 ///   - `ctx` is polled between claims, and the caller's wait on the fan-out
 ///     is deadline-aware (ThreadPool::WaitFor in a poll loop), so a breach
 ///     trips within one shard boundary.
 ///   - `mine` returns whether it ran subtree i to completion. After the
 ///     fan-out, if the contiguously completed subtrees counted from the top
-///     do not cover all n, the run is marked incomplete on `ctx` with
-///     frontier support level_supports[j] + 1, where j is the highest
-///     uncompleted index — every pattern with support above that level lives
-///     entirely inside the completed top region, so the emitted set filtered
-///     to the frontier is exact. `level_supports[i]` is the support of
-///     extension i (ascending, F-list order).
+///     do not cover all n and `mark_frontier` is set, the run is marked
+///     incomplete on `ctx` with frontier support level_supports[j] + 1,
+///     where j is the highest uncompleted index — every pattern with
+///     support above that level lives entirely inside the completed top
+///     region, so the emitted set filtered to the frontier is exact.
+///     `level_supports[i]` is the support of extension i (ascending,
+///     F-list order).
 /// Nested (non-root) callers pass mark_frontier = false: they report
 /// completion through the return value and leave the frontier bookkeeping
 /// to their root driver. All shards, complete or not, are merged into `out`
 /// (partially mined subtrees still emitted genuine patterns; the outcome
-/// filter drops whatever falls below the frontier). Returns true iff every
-/// subtree completed. With a 1-lane pool the caller mines every subtree
-/// itself — the governed sequential path.
-bool MineFirstLevelGoverned(
+/// filter drops whatever falls below the frontier). With a null `ctx`
+/// nothing is polled or marked. Returns true iff every subtree completed.
+/// Exceptions from `mine` propagate after all started subtrees finish.
+bool MineFirstLevel(
     const std::shared_ptr<ThreadPool>& pool, size_t n,
     const std::function<bool(MineShard* shard, size_t lane, size_t i)>& mine,
     PatternSet* out, MiningStats* stats, RunContext* ctx,

@@ -113,42 +113,13 @@ class TpContext {
     return ProcessWithRecount(prefix, ext, rows);
   }
 
-  /// Root driver for multi-lane runs: emits the singleton patterns, fills
-  /// the root pair matrix once, then fans the first-level children out to
-  /// the pool — each child task only reads the shared matrix and rows.
-  /// Ascending-child shard merge reproduces the sequential emission order
-  /// exactly. Requires 2 <= ext.size() <= kMaxMatrixItems.
-  void ProcessRootParallel(const std::vector<Rank>& ext,
-                           const std::vector<uint64_t>& c1,
-                           const LocalRows& rows) {
-    std::vector<Rank> prefix;
-    for (size_t i = 0; i < ext.size(); ++i) {
-      prefix.push_back(ext[i]);
-      EmitPattern(prefix, c1[i]);
-      prefix.pop_back();
-    }
-
-    PairMatrix matrix(ext.size());
-    FillMatrix(&matrix, rows);
-
-    MineFirstLevelParallel(
-        ThreadPool::Global(), ext.size() - 1,
-        [&](MineShard* shard, size_t /*lane*/, size_t i) {
-          TpContext ctx(flist_, min_support_, &shard->patterns,
-                        &shard->stats);
-          std::vector<Rank> sub_prefix;
-          ctx.MineMatrixChild(&sub_prefix, ext, matrix, rows, i);
-        },
-        out_, stats_);
-  }
-
-  /// Governed root driver: like ProcessRootParallel but fanning children
-  /// descending through MineFirstLevelGoverned (works at any lane count),
-  /// with a recount fallback when the extension set exceeds the matrix
-  /// limit. `c1` is F-list ascending, as the frontier computation needs.
-  void ProcessRootGoverned(const std::vector<Rank>& ext,
-                           const std::vector<uint64_t>& c1,
-                           const LocalRows& rows) {
+  /// The root node: emits the singleton patterns, fills the root pair matrix
+  /// once (or, above the matrix limit, leaves each child to recount), then
+  /// mines the first-level children through MineFirstLevel — each child
+  /// only reads the shared matrix and rows. `c1` is F-list ascending, as a
+  /// governed frontier needs.
+  void ProcessRoot(const std::vector<Rank>& ext,
+                   const std::vector<uint64_t>& c1, const LocalRows& rows) {
     std::vector<Rank> prefix;
     for (size_t i = 0; i < ext.size(); ++i) {
       prefix.push_back(ext[i]);
@@ -161,16 +132,19 @@ class TpContext {
     PairMatrix matrix(use_matrix ? ext.size() : 2);
     if (use_matrix) FillMatrix(&matrix, rows);
     // Root rows and matrix stay live for the whole fan-out.
-    const ScopedBytes root_charge(
-        run_ctx_,
-        RowsBytes(rows) +
-            (use_matrix ? ext.size() * (ext.size() - 1) / 2 * sizeof(uint64_t)
-                        : 0));
+    size_t root_bytes = 0;
+    if (run_ctx_ != nullptr) {
+      root_bytes = RowsBytes(rows);
+      if (use_matrix) {
+        root_bytes += ext.size() * (ext.size() - 1) / 2 * sizeof(uint64_t);
+      }
+    }
+    const ScopedBytes root_charge(run_ctx_, root_bytes);
 
     // Children are i in [0, ext.size() - 1); child i's subtree holds the
     // patterns whose rarest item is ext[i], supported at most c1[i].
     const std::vector<uint64_t> level_supports(c1.begin(), c1.end() - 1);
-    MineFirstLevelGoverned(
+    MineFirstLevel(
         ThreadPool::Global(), ext.size() - 1,
         [&](MineShard* shard, size_t /*lane*/, size_t i) -> bool {
           TpContext ctx(flist_, min_support_, &shard->patterns,
@@ -263,8 +237,8 @@ class TpContext {
 
   /// One recount-mode child: projects rows containing ext[i], recounts the
   /// extension supports there, and processes the child node. The per-child
-  /// body of ProcessWithRecount, exposed so the governed root fan-out can
-  /// run children independently above the matrix limit.
+  /// body of ProcessWithRecount, exposed so the root fan-out can run
+  /// children independently above the matrix limit.
   bool MineRecountChild(std::vector<Rank>* prefix, const std::vector<Rank>& ext,
                         const LocalRows& rows, size_t i) {
     std::vector<uint64_t> raw_counts(ext.size() - i - 1, 0);
@@ -384,16 +358,8 @@ Result<PatternSet> TreeProjectionMiner::MineImpl(const TransactionDb& db,
     const LocalRows rows = Dedupe(std::move(raw));
 
     TpContext ctx(flist, min_support, &out, &stats_);
-    if (run_ctx_ != nullptr) {
-      ctx.BindRunContext(run_ctx_);
-      ctx.ProcessRootGoverned(ext, c1, rows);
-    } else if (ParallelMiningEnabled() && ext.size() >= 2 &&
-               ext.size() <= kMaxMatrixItems) {
-      ctx.ProcessRootParallel(ext, c1, rows);
-    } else {
-      std::vector<Rank> prefix;
-      ctx.Process(&prefix, ext, c1, rows);
-    }
+    ctx.BindRunContext(run_ctx_);
+    ctx.ProcessRoot(ext, c1, rows);
   }
 
   stats_.patterns_emitted = out.size();

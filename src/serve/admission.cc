@@ -341,33 +341,6 @@ Result<fpm::MineResult> AdmissionController::Dispatch(
   fpm::MineRequest forward = request;
   forward.queued_ms = gate.queued_ms;
 
-  // Map the tenant's quota onto per-request sub-budgets: the dispatched
-  // mine never outlives max_deadline_ms or out-allocates max_bytes, even
-  // when the caller's own governor allows more (an ungoverned request
-  // gets a governor here).
-  TenantQuota quota;
-  {
-    MutexLock lock(mu_);
-    quota = QuotaForLocked(request.tenant);
-  }
-  RunContext local_ctx;
-  if (quota.max_deadline_ms > 0 || quota.max_bytes > 0) {
-    RunContext* ctx =
-        request.run_context != nullptr ? request.run_context : &local_ctx;
-    if (quota.max_deadline_ms > 0) {
-      const Clock::time_point cap =
-          Clock::now() + std::chrono::milliseconds(quota.max_deadline_ms);
-      if (!ctx->has_deadline() || ctx->deadline() > cap) {
-        ctx->SetDeadline(cap);
-      }
-    }
-    if (quota.max_bytes > 0 && (ctx->memory_budget() == 0 ||
-                                ctx->memory_budget() > quota.max_bytes)) {
-      ctx->SetMemoryBudget(quota.max_bytes);
-    }
-    forward.run_context = ctx;
-  }
-
   ServeStats stats;
   Result<fpm::MineResult> outcome = service_.Mine(forward, &stats);
   if (outcome.ok()) {
@@ -384,12 +357,10 @@ Result<fpm::MineResult> AdmissionController::DegradeOrShed(
     const fpm::MineRequest& request, const Gate& gate,
     const std::string& reason, uint64_t retry_after_ms,
     ServeStats* stats_out) {
-  if (options_.degrade) {
-    bool served = false;
-    Result<fpm::MineResult> degraded =
-        TryServeDegraded(request, gate, &served, stats_out);
-    if (served) return degraded;
-  }
+  bool served = false;
+  Result<fpm::MineResult> degraded =
+      TryServeDegraded(request, gate, &served, stats_out);
+  if (served) return degraded;
   return Shed(gate, request.tenant, reason, retry_after_ms, stats_out);
 }
 
@@ -534,13 +505,6 @@ bool AdmissionController::TakeTokenLocked(const std::string& tenant,
       std::ceil((1.0 - bucket.tokens) / quota.qps * 1000.0));
   if (*retry_after_ms == 0) *retry_after_ms = 1;
   return false;
-}
-
-TenantQuota AdmissionController::QuotaForLocked(
-    const std::string& tenant) const {
-  const auto it = buckets_.find(tenant);
-  if (it != buckets_.end() && it->second.quota_set) return it->second.quota;
-  return options_.default_quota;
 }
 
 uint64_t AdmissionController::ProjectedWaitMsLocked() const {

@@ -16,9 +16,7 @@
 //   3. Per-tenant token bucket — `qps` sustained admissions with `burst`
 //      headroom per tenant id. A tenant over quota is degraded/shed
 //      without touching the shared queue, so one tenant's burst cannot
-//      reject another tenant's in-quota traffic. Tenant quotas also map
-//      onto per-request RunContext sub-budgets (deadline and byte-budget
-//      clamps applied at dispatch).
+//      reject another tenant's in-quota traffic.
 //   4. Bounded deadline-aware wait queue — at most `max_concurrent`
 //      requests mine at once; at most `max_queue` wait behind them, FIFO.
 //      A request whose *projected* queue wait (Geerts et al. candidate-
@@ -27,16 +25,15 @@
 //      typed ResourceExhausted carrying a retry-after hint, instead of
 //      timing out in the queue after burning a slot.
 //
-// Graceful degradation: when `degrade` is set, a request that would be
-// shed (queue full, over quota, breaker open, deadline unmeetable) is
-// first offered a stale answer from the PatternStore — an exact or
-// filtered-down entry when one appears mid-flight, else the closest
-// frontier entry above the target support — returned as an explicitly
-// flagged `degraded` response (ServeStats::degraded, wide-event
-// `degraded`, outcome "degraded"). Only when no stale entry exists does
-// the request shed: a `ResourceExhausted` status whose message carries
-// "retry-after-ms=<n>" (also in ServeStats::retry_after_ms), outcome
-// "shed".
+// Graceful degradation: a request that would be shed (queue full, over
+// quota, breaker open, deadline unmeetable) is first offered a stale
+// answer from the PatternStore — an exact or filtered-down entry when one
+// appears mid-flight, else the closest frontier entry above the target
+// support — returned as an explicitly flagged `degraded` response
+// (ServeStats::degraded, wide-event `degraded`, outcome "degraded"). Only
+// when no stale entry exists does the request shed: a `ResourceExhausted`
+// status whose message carries "retry-after-ms=<n>" (also in
+// ServeStats::retry_after_ms), outcome "shed".
 //
 // Every request terminates with exactly one typed outcome — ok, partial,
 // degraded, shed, or error — and exactly one wide event. The counters
@@ -63,20 +60,13 @@
 
 namespace gogreen::serve {
 
-/// Resource envelope of one tenant. The zero value means "unlimited": no
-/// rate limit, no sub-budget clamps.
+/// Admission rate of one tenant. The zero value means "unlimited".
 struct TenantQuota {
   /// Sustained admissions per second through the token bucket; 0 disables
   /// rate limiting for the tenant.
   double qps = 0.0;
   /// Bucket capacity (burst headroom). <= 0 defaults to max(1, qps).
   double burst = 0.0;
-  /// Clamp on the per-request deadline: a dispatched request never runs
-  /// longer than this, even if its own RunContext allows more (a missing
-  /// governor gets one). 0 = no clamp.
-  uint64_t max_deadline_ms = 0;
-  /// Clamp on the per-request mining byte budget. 0 = no clamp.
-  size_t max_bytes = 0;
 };
 
 struct AdmissionOptions {
@@ -92,9 +82,6 @@ struct AdmissionOptions {
   int breaker_threshold = 3;
   /// How long an open breaker short-circuits before the half-open probe.
   uint64_t breaker_cooldown_ms = 1000;
-  /// Serve stale/frontier store entries (flagged degraded) instead of
-  /// shedding when one exists.
-  bool degrade = true;
 };
 
 /// Thread-safe admission layer wrapping one MiningService. See the file
@@ -195,7 +182,6 @@ class AdmissionController {
   /// sets `*retry_after_ms` to the refill time of the missing fraction.
   bool TakeTokenLocked(const std::string& tenant, Clock::time_point now,
                        uint64_t* retry_after_ms) REQUIRES(mu_);
-  TenantQuota QuotaForLocked(const std::string& tenant) const REQUIRES(mu_);
 
   /// Projected wait (ms) before a new arrival would start: pending work
   /// ahead of it (queued + active cost units) divided by the slot count,

@@ -165,7 +165,7 @@ Result<fpm::MineResult> MiningService::Mine(const fpm::MineRequest& request,
 
   const obs::Tracer::SpanSnapshot spans_before =
       obs::Tracer::Global().AggregateSnapshot();
-  const StoreStats store_before = store_.stats();
+  const PatternStore::Evictions evictions_before = store_.evictions();
   ServeStats stats;
   stats.request_id = rctx.request_id;
   stats.tenant = request.tenant;
@@ -184,10 +184,9 @@ Result<fpm::MineResult> MiningService::Mine(const fpm::MineRequest& request,
   stats.seconds = total.ElapsedSeconds();
   stats.phases = ServePhaseDeltas(spans_before,
                                   obs::Tracer::Global().AggregateSnapshot());
-  const StoreStats store_after = store_.stats();
-  stats.evictions = store_after.evictions - store_before.evictions;
-  stats.image_evictions =
-      store_after.image_evictions - store_before.image_evictions;
+  const PatternStore::Evictions evictions_after = store_.evictions();
+  stats.evictions = evictions_after.entries - evictions_before.entries;
+  stats.image_evictions = evictions_after.images - evictions_before.images;
   stats.bytes_peak = ctx->bytes_peak();
   if (outcome.ok()) {
     stats.partial = outcome->partial;

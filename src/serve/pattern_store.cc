@@ -89,11 +89,9 @@ size_t PatternSetCost(const fpm::PatternSet& fp) {
 
 PatternStore::PatternStore() : PatternStore(Options()) {}
 
-PatternStore::PatternStore(Options options)
-    : options_(options), budget_(options.byte_budget) {
-  const size_t count = std::max<size_t>(1, options_.shards);
-  shards_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
+PatternStore::PatternStore(Options options) : budget_(options.byte_budget) {
+  shards_.reserve(kShards);
+  for (size_t i = 0; i < kShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
@@ -365,8 +363,9 @@ StoreStats PatternStore::stats() const {
   }
   stats.bytes_in_use = bytes_in_use();
   stats.byte_budget = byte_budget();
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.image_evictions = image_evictions_.load(std::memory_order_relaxed);
+  const Evictions evicted = evictions();
+  stats.evictions = evicted.entries;
+  stats.image_evictions = evicted.images;
   return stats;
 }
 

@@ -8,7 +8,7 @@
 //
 // Values are handed out as shared_ptr-to-const: eviction drops the store's
 // reference, never a reader's. The store is lock-striped: entries hash to
-// one of N shards (each a mutex + LRU list), so lookups on different keys
+// one of 8 shards (each a mutex + LRU list), so lookups on different keys
 // never contend. Byte accounting lives in one global atomic ledger with a
 // reserve-before-insert protocol — bytes are charged by a CAS that only
 // succeeds while the total stays under the budget, so `bytes_in_use()`
@@ -68,9 +68,6 @@ class PatternStore {
     /// Hard ceiling on the summed cost of cached pattern sets + compressed
     /// images. The store never holds more than this many accounted bytes.
     size_t byte_budget = size_t{64} << 20;
-    /// Number of lock stripes. Keys hash across shards; 1 degenerates to
-    /// the old single-mutex store (useful for tests).
-    size_t shards = 8;
   };
 
   PatternStore();  ///< Default Options.
@@ -107,7 +104,20 @@ class PatternStore {
 
   void Clear();
 
+  /// Walks every shard (one lock each) to count entries and images.
   StoreStats stats() const;
+
+  /// StoreStats::evictions and ::image_evictions alone, read from two
+  /// atomics without a shard lock: all a per-request delta needs.
+  struct Evictions {
+    uint64_t entries = 0;
+    uint64_t images = 0;
+  };
+  Evictions evictions() const {
+    return {evictions_.load(std::memory_order_relaxed),
+            image_evictions_.load(std::memory_order_relaxed)};
+  }
+
   size_t bytes_in_use() const;
   size_t byte_budget() const {
     return budget_.load(std::memory_order_relaxed);
@@ -195,15 +205,17 @@ class PatternStore {
 
   uint64_t NextStamp() { return 1 + clock_.fetch_add(1); }
 
-  Options options_;
-  /// Live byte budget; starts at options_.byte_budget, re-armed by
+  /// Lock stripes; keys hash across them.
+  static constexpr size_t kShards = 8;
+
+  /// Live byte budget; starts at Options::byte_budget, re-armed by
   /// SetByteBudget. Atomic so the ReserveBytes CAS loop and concurrent
   /// readers see one coherent value.
   std::atomic<size_t> budget_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Global byte ledger: the sum of live entry costs plus in-flight
   /// reservations. Only ever grows via the budget-checked CAS in
-  /// ReserveBytes, so it can never exceed options_.byte_budget.
+  /// ReserveBytes, so it can never exceed the byte budget.
   std::atomic<size_t> bytes_{0};
   std::atomic<uint64_t> clock_{0};
   std::atomic<uint64_t> evictions_{0};

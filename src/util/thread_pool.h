@@ -204,7 +204,7 @@ class ThreadPool {
   /// Scopes nest; the previous override is restored on destruction. The
   /// override is only consulted by the requesting thread — pool workers
   /// never resolve Global() — so it composes with the pinned-pool contract
-  /// of MineFirstLevelParallel.
+  /// of fpm::MineFirstLevel.
   class ScopedThreads {
    public:
     explicit ScopedThreads(size_t threads);

@@ -3,7 +3,8 @@
 // its own single-thread run (same patterns, same supports, same order) and
 // canonically equal to the sequential Apriori oracle — including through the
 // full compress -> recycle pipeline at a relaxed support threshold. Work
-// counters must also be exact at any thread count.
+// counters must also be exact at any thread count, and a run with an
+// unarmed RunContext must match the run without one.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "fpm/miner.h"
 #include "fpm/pattern_set.h"
 #include "tests/test_util.h"
+#include "util/run_context.h"
 #include "util/thread_pool.h"
 
 namespace gogreen {
@@ -69,8 +71,11 @@ void ExpectStatsEqual(const MiningStats& a, const MiningStats& b,
 }
 
 PatternSet MineDirect(MinerKind kind, const TransactionDb& db, uint64_t minsup,
-                      MiningStats* stats = nullptr) {
-  auto result = fpm::CreateMiner(kind)->Mine(db, MineRequest::At(minsup));
+                      MiningStats* stats = nullptr,
+                      RunContext* run_context = nullptr) {
+  MineRequest request = MineRequest::At(minsup);
+  request.run_context = run_context;
+  auto result = fpm::CreateMiner(kind)->Mine(db, request);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (stats != nullptr) *stats = result->stats;
   return std::move(result->patterns);
@@ -136,6 +141,14 @@ TEST_P(ParallelDifferentialTest, PlainMinersMatchSequentialAndOracle) {
       const PatternSet parallel = MineDirect(kind, db, minsup, &par_stats);
       ExpectIdentical(sequential, parallel, "plain miner output");
       ExpectStatsEqual(seq_stats, par_stats, "plain miner stats");
+
+      // A governor that never trips must not move output or counters.
+      RunContext unarmed;
+      MiningStats ctx_stats;
+      const PatternSet governed =
+          MineDirect(kind, db, minsup, &ctx_stats, &unarmed);
+      ExpectIdentical(parallel, governed, "unarmed-context output");
+      ExpectStatsEqual(par_stats, ctx_stats, "unarmed-context stats");
     }
   }
 }
@@ -178,6 +191,17 @@ TEST_P(ParallelDifferentialTest, CompressRecycleMatchesSequentialAndOracle) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ExpectIdentical(sequential, result->patterns, "recycled output");
       ExpectStatsEqual(seq_stats, result->stats, "recycled stats");
+
+      // A governor that never trips must not move output or counters.
+      RunContext unarmed;
+      MineRequest request = MineRequest::At(p.xi_new);
+      request.run_context = &unarmed;
+      auto governed = core::CreateCompressedMiner(algo)->Mine(cdb, request);
+      ASSERT_TRUE(governed.ok()) << governed.status().ToString();
+      ExpectIdentical(result->patterns, governed->patterns,
+                      "unarmed-context recycled output");
+      ExpectStatsEqual(result->stats, governed->stats,
+                       "unarmed-context recycled stats");
     }
   }
 }

@@ -377,10 +377,11 @@ TEST(ThreadPoolTest, WaitForDoesNotConsumeExceptionOnTimeout) {
 }
 
 TEST(ThreadPoolTest, CancelledGovernedWaitDrainsPinnedPoolWithoutLeaks) {
-  // The governed fan-out pattern (MineFirstLevelGoverned): tasks poll a
-  // RunContext and bail early once it is cancelled; the driver loops on
-  // WaitFor + PollNow. A cancelled run must account for every queued task
-  // (none leak into later rounds) and leave the pinned pool functional.
+  // The governed fan-out pattern (fpm::MineFirstLevel with a RunContext):
+  // tasks poll the context and bail early once it is cancelled; the fan-out
+  // loops on WaitFor + PollNow. A cancelled run must account for every
+  // queued task (none leak into later rounds) and leave the pinned pool
+  // functional.
   const size_t original = ThreadPool::GlobalThreads();
   ThreadPool::SetGlobalThreads(2);
   const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();

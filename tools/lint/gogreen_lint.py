@@ -37,8 +37,12 @@ cannot express:
                       (MineGoverned, MineCompressedGoverned, SetRunContext,
                       MineCompressed), the second orchestrator
                       (RecyclingSession, RecyclerOptions), the duplicate
-                      result type (MineOutcome, FinishGovernedOutcome), and
-                      the core/constraints.h alias shim. One query is one
+                      result type (MineOutcome, FinishGovernedOutcome), the
+                      core/constraints.h alias shim, the second and third
+                      first-level fan-outs (MineFirstLevelParallel,
+                      ParallelMiningEnabled, MineFirstLevelGoverned; every
+                      miner calls fpm::MineFirstLevel), and top-K mining
+                      (MineTopK, TopKOptions). One query is one
                       fpm::MineRequest answered by Mine(…, request) or
                       serve::MiningService; governors ride in
                       MineRequest::run_context (internal helpers that bind
@@ -109,7 +113,9 @@ ENV_ACCESS_RE = re.compile(r"\b(?:std::)?(?:getenv|secure_getenv|setenv|"
                            r"putenv|unsetenv)\s*\(")
 DEPRECATED_API_RE = re.compile(
     r"\b(?:MineGoverned|MineCompressedGoverned|SetRunContext|MineCompressed|"
-    r"RecyclingSession|RecyclerOptions|MineOutcome|FinishGovernedOutcome)\b")
+    r"RecyclingSession|RecyclerOptions|MineOutcome|FinishGovernedOutcome|"
+    r"MineFirstLevelParallel|ParallelMiningEnabled|MineFirstLevelGoverned|"
+    r"MineTopK|TopKOptions)\b")
 DEPRECATED_INCLUDE_RE = re.compile(r'#\s*include\s*"core/constraints\.h"')
 RAW_THREAD_RE = re.compile(r"\bstd::thread\b")
 NAKED_NEW_RE = re.compile(r"\bnew\b|\bdelete\b")
@@ -337,8 +343,8 @@ def run_checks(files, registry_text, design_text=""):
         violations += scan_pattern(
             path, raw_text, "deprecated-api", DEPRECATED_API_RE,
             "deleted API name (use Mine(…, fpm::MineRequest), "
-            "serve::MiningService, and fpm::MineResult; context-binding "
-            "helpers are spelled BindRunContext)")
+            "serve::MiningService, fpm::MineResult and fpm::MineFirstLevel; "
+            "context-binding helpers are spelled BindRunContext)")
         violations += scan_pattern(
             path, raw_text, "deprecated-api", DEPRECATED_INCLUDE_RE,
             "deleted alias shim (include fpm/constraints.h)",
@@ -430,6 +436,20 @@ def self_test():
          "auto out = m->MineCompressed(cdb, 3);\n", True),
         ("deprecated-api", "src/a.cc",
          '#include "core/constraints.h"\n', True),
+        ("deprecated-api", "src/a.cc",
+         "MineFirstLevelParallel(pool, n, mine, &out, &stats);\n", True),
+        ("deprecated-api", "src/a.cc",
+         "if (!fpm::ParallelMiningEnabled()) return;\n", True),
+        ("deprecated-api", "src/a.cc",
+         "MineFirstLevelGoverned(pool, n, mine, out, st, ctx, s, true);\n",
+         True),
+        ("deprecated-api", "src/a.cc",
+         "auto top = fpm::MineTopK(db, options);\n", True),
+        ("deprecated-api", "src/a.cc",
+         "fpm::TopKOptions options;\n", True),
+        ("deprecated-api", "src/a.cc",
+         "fpm::MineFirstLevel(pool, n, mine, out, st, ctx, s, true);\n",
+         False),
         ("deprecated-api", "src/a.cc",
          "// RecyclingSession, RecyclerOptions, MineOutcome,\n"
          "// FinishGovernedOutcome, MineCompressed and\n"
