@@ -1,27 +1,27 @@
 #include "core/compressed_miner.h"
 
-#include <utility>
-
+#include "check/check_db.h"
 #include "core/recycle_fp.h"
 #include "core/recycle_hmine.h"
 #include "core/recycle_tp.h"
 #include "core/rp_mine.h"
-#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace gogreen::core {
 
 Result<fpm::MineResult> CompressedMiner::Mine(const CompressedDb& cdb,
                                               const fpm::MineRequest& request) {
-  GOGREEN_ASSIGN_OR_RETURN(const uint64_t minsup,
-                           request.EffectiveMinSupport());
-  GOGREEN_TRACE_SPAN("run.governor");
-  const ThreadPool::ScopedThreads scoped_threads(request.threads);
-  run_ctx_ = request.run_context;  // Bound for this call only.
-  Result<fpm::PatternSet> mined = MineImpl(cdb, minsup);
-  run_ctx_ = nullptr;
-  return fpm::FinishMine(std::move(mined), minsup, request, stats_);
+  return fpm::RunMine(
+      name(), request, &stats_, &run_ctx_, [&](uint64_t min_support) {
+        const fpm::FList flist = fpm::FList::FromCounts(
+            cdb.CountItemSupports(cdb.ItemUniverseSize()), min_support);
+        if (check::ValidationEnabled()) {
+          GOGREEN_VALIDATE_OR_DIE(check::ValidateCompressedDb(cdb, nullptr));
+          GOGREEN_VALIDATE_OR_DIE(check::ValidateFList(flist, min_support));
+        }
+        if (flist.empty()) return fpm::PatternSet();
+        return MineImpl(SliceDb::Build(cdb, flist), flist, min_support);
+      });
 }
 
 std::unique_ptr<CompressedMiner> CreateCompressedMiner(RecycleAlgo algo) {

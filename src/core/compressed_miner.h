@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/compressed_db.h"
+#include "core/slice_db.h"
 #include "fpm/miner.h"
 #include "fpm/pattern_set.h"
 #include "util/status.h"
@@ -31,10 +32,12 @@ class CompressedMiner {
                                const fpm::MineRequest& request);
 
  protected:
-  /// The algorithm: the complete set with support >= min_support (>= 1).
-  /// Reads the governor from run_ctx_ and leaves its counters in stats_.
-  virtual Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
-                                           uint64_t min_support) = 0;
+  /// The algorithm: the complete set with support >= min_support (>= 1)
+  /// of the database `sdb` encodes, under its non-empty F-list `flist`.
+  /// Mine() builds both, inside the `mine.<name>` span. Reads the governor
+  /// from run_ctx_ and adds its counters to stats_.
+  virtual fpm::PatternSet MineImpl(const SliceDb& sdb, const fpm::FList& flist,
+                                   uint64_t min_support) = 0;
 
   fpm::MiningStats stats_;
   /// Governor of the in-flight Mine call; bound for the span of that call

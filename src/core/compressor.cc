@@ -147,7 +147,7 @@ class InvertedIndexMatcher : public Matcher {
 };
 
 /// Flushes one finished compression run into the global metric registry,
-/// mirroring what fpm::RecordMiningStats does for miners.
+/// mirroring the `mine.*` metrics fpm::RunMine flushes for miners.
 void RecordCompressionStats(const CompressionStats& stats) {
   using obs::MetricRegistry;
   static obs::Counter* runs =

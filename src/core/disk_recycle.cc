@@ -38,15 +38,19 @@ RetryPolicy SpillRetryPolicy() {
 ///
 /// RAII: destruction closes and removes every partition file this writer
 /// created, so spill files cannot leak on any exit path (IO error, governed
-/// stop, exception). Callers that consumed the partitions may still call
-/// Cleanup() early; it is idempotent.
+/// stop, exception).
 class SliceSpillWriter {
  public:
   SliceSpillWriter(std::string dir, std::string stem, size_t num_ranks)
       : dir_(std::move(dir)), stem_(std::move(stem)),
         files_(num_ranks, nullptr) {}
 
-  ~SliceSpillWriter() { Cleanup(); }
+  ~SliceSpillWriter() {
+    for (Rank r : used_) {
+      if (files_[r] != nullptr) std::fclose(files_[r]);
+      std::remove(PathOf(r).c_str());
+    }
+  }
 
   SliceSpillWriter(const SliceSpillWriter&) = delete;
   SliceSpillWriter& operator=(const SliceSpillWriter&) = delete;
@@ -85,17 +89,6 @@ class SliceSpillWriter {
       }
     }
     return Status::OK();
-  }
-
-  void Cleanup() {
-    for (Rank r : used_) {
-      if (files_[r] != nullptr) {
-        std::fclose(files_[r]);
-        files_[r] = nullptr;
-      }
-      std::remove(PathOf(r).c_str());
-    }
-    used_.clear();
   }
 
   const std::vector<Rank>& used_ranks() const { return used_; }
@@ -314,7 +307,6 @@ Status MineSlicePartition(std::vector<Slice> slices, const fpm::FList& flist,
       ctx->MarkIncomplete(counts[order[processed]] + 1);
     }
   }
-  writer.Cleanup();
   return Status::OK();
 }
 

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <memory>
 
-#include "check/check_db.h"
 #include "core/slice_db.h"
 #include "fpm/parallel_mine.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace gogreen::core {
 
@@ -63,72 +60,57 @@ class RecycleFpContext {
 
 }  // namespace
 
-Result<fpm::PatternSet> RecycleFpMiner::MineImpl(
-    const CompressedDb& cdb, uint64_t min_support) {
-  stats_.Reset();
-  GOGREEN_TRACE_SPAN("mine.recycle-fp");
-  Timer timer;
+fpm::PatternSet RecycleFpMiner::MineImpl(const SliceDb& sdb,
+                                         const fpm::FList& flist,
+                                         uint64_t min_support) {
   fpm::PatternSet out;
+  SliceMiningContext base(flist, min_support, &out, &stats_);
+  base.BindRunContext(run_ctx_);
+  std::vector<Rank> prefix;
+  const std::vector<WeightedSlice> root = BuildWeightedSlices(sdb);
 
-  const fpm::FList flist = fpm::FList::FromCounts(
-      cdb.CountItemSupports(cdb.ItemUniverseSize()), min_support);
-  if (check::ValidationEnabled()) {
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateCompressedDb(cdb, nullptr));
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateFList(flist, min_support));
+  // Expand the root level once (count + the Lemma 3.1 shortcut), then
+  // mine the first-level projections through MineFirstLevel. Every
+  // subtree projects from the shared read-only root slices.
+  std::vector<uint64_t> freq_counts;
+  const std::vector<Rank> frequent =
+      base.CountFrequentWeighted(root, &freq_counts);
+  if (frequent.empty() ||
+      base.TrySingleGroupWeighted(root, frequent, freq_counts, &prefix)) {
+    return out;
   }
-  if (!flist.empty()) {
-    const SliceDb sdb = SliceDb::Build(cdb, flist);
-    SliceMiningContext base(flist, min_support, &out, &stats_);
-    base.BindRunContext(run_ctx_);
-    std::vector<Rank> prefix;
-    const std::vector<WeightedSlice> root = BuildWeightedSlices(sdb);
 
-    // Expand the root level once (count + the Lemma 3.1 shortcut), then
-    // mine the first-level projections through MineFirstLevel. Every
-    // subtree projects from the shared read-only root slices.
-    std::vector<uint64_t> freq_counts;
-    const std::vector<Rank> frequent =
-        base.CountFrequentWeighted(root, &freq_counts);
-    if (!frequent.empty() &&
-        !base.TrySingleGroupWeighted(root, frequent, freq_counts, &prefix)) {
-      // Lane-local contexts reuse the counting scratch across subtrees.
-      const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();
-      std::vector<std::unique_ptr<SliceMiningContext>> lanes(
-          pool->threads());
-      const auto mine_subtree = [&](fpm::MineShard* shard, size_t lane,
-                                    size_t i) -> bool {
-        auto& lane_base = lanes[lane];
-        if (!lane_base) {
-          lane_base = std::make_unique<SliceMiningContext>(
-              flist, min_support, nullptr, nullptr);
-          lane_base->BindRunContext(run_ctx_);
-        }
-        lane_base->SetSinks(&shard->patterns, &shard->stats);
-        std::vector<Rank> sub_prefix;
-        sub_prefix.push_back(frequent[i]);
-        lane_base->EmitPattern(sub_prefix, freq_counts[i]);
-        const std::vector<WeightedSlice> projected =
-            ProjectWeightedSlices(root, frequent[i]);
-        ++shard->stats.projections_built;
-        if (projected.empty()) return true;
-        const ScopedBytes charge(
-            run_ctx_,
-            run_ctx_ != nullptr ? ApproxWeightedSliceBytes(projected) : 0);
-        RecycleFpContext ctx(lane_base.get());
-        return ctx.Mine(projected, &sub_prefix);
-      };
-
-      // Root slices stay live for the whole fan-out.
-      const ScopedBytes root_charge(
-          run_ctx_, run_ctx_ != nullptr ? ApproxWeightedSliceBytes(root) : 0);
-      fpm::MineFirstLevel(pool, frequent.size(), mine_subtree, &out, &stats_,
-                          run_ctx_, freq_counts, /*mark_frontier=*/true);
+  // Lane-local contexts reuse the counting scratch across subtrees.
+  const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();
+  std::vector<std::unique_ptr<SliceMiningContext>> lanes(pool->threads());
+  const auto mine_subtree = [&](fpm::MineShard* shard, size_t lane,
+                                size_t i) -> bool {
+    auto& lane_base = lanes[lane];
+    if (!lane_base) {
+      lane_base = std::make_unique<SliceMiningContext>(flist, min_support,
+                                                       nullptr, nullptr);
+      lane_base->BindRunContext(run_ctx_);
     }
-  }
+    lane_base->SetSinks(&shard->patterns, &shard->stats);
+    std::vector<Rank> sub_prefix;
+    sub_prefix.push_back(frequent[i]);
+    lane_base->EmitPattern(sub_prefix, freq_counts[i]);
+    const std::vector<WeightedSlice> projected =
+        ProjectWeightedSlices(root, frequent[i]);
+    ++shard->stats.projections_built;
+    if (projected.empty()) return true;
+    const ScopedBytes charge(
+        run_ctx_,
+        run_ctx_ != nullptr ? ApproxWeightedSliceBytes(projected) : 0);
+    RecycleFpContext ctx(lane_base.get());
+    return ctx.Mine(projected, &sub_prefix);
+  };
 
-  stats_.patterns_emitted = out.size();
-  stats_.elapsed_seconds = timer.ElapsedSeconds();
-  fpm::RecordMiningStats(stats_);
+  // Root slices stay live for the whole fan-out.
+  const ScopedBytes root_charge(
+      run_ctx_, run_ctx_ != nullptr ? ApproxWeightedSliceBytes(root) : 0);
+  fpm::MineFirstLevel(pool, frequent.size(), mine_subtree, &out, &stats_,
+                      run_ctx_, freq_counts, /*mark_frontier=*/true);
   return out;
 }
 

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <memory>
 
-#include "check/check_db.h"
 #include "core/slice_db.h"
+#include "fpm/hmine.h"
 #include "fpm/parallel_mine.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace gogreen::core {
 
@@ -17,6 +15,7 @@ namespace {
 
 using fpm::kNoRank;
 using fpm::Rank;
+using fpm::Suffix;
 
 // A projected compressed database is kept as four entry species so that the
 // expensive aggregate machinery is paid only where group sharing actually
@@ -31,8 +30,9 @@ using fpm::Rank;
 //   PairedTail    single member with live pattern suffix + outlying suffix.
 //                 A group of one has nothing to share, so it is a POD.
 //   Plain         single member whose pattern is consumed: an H-Mine
-//                 suffix, processed with H-Mine's flat mechanics. Dominant
-//                 on sparse data (the uncovered part of the database).
+//                 suffix (fpm::Suffix). Dominant on sparse data (the
+//                 uncovered part of the database). A projection holding
+//                 only plain rows is mined by H-Mine itself.
 
 /// Reference to the unconsumed suffix of one member's outlying row in the
 /// flattened out storage.
@@ -67,7 +67,7 @@ struct ProjectedDb {
   std::vector<ProjSlice> slices;
   std::vector<GroupPattern> gpatterns;
   std::vector<PairedTail> paired;
-  std::vector<TailRef> plain;
+  std::vector<Suffix> plain;
 
   bool empty() const {
     return slices.empty() && gpatterns.empty() && paired.empty() &&
@@ -81,7 +81,7 @@ size_t ProjectedDbBytes(const ProjectedDb& db) {
   size_t bytes = db.slices.size() * sizeof(ProjSlice) +
                  db.gpatterns.size() * sizeof(GroupPattern) +
                  db.paired.size() * sizeof(PairedTail) +
-                 db.plain.size() * sizeof(TailRef);
+                 db.plain.size() * sizeof(Suffix);
   for (const ProjSlice& ps : db.slices) {
     bytes += ps.tails.size() * sizeof(TailRef);
   }
@@ -89,8 +89,9 @@ size_t ProjectedDbBytes(const ProjectedDb& db) {
 }
 
 /// All outlying rows of a SliceDb flattened into one CSR for cache-friendly
-/// scans. Read-only after construction, so it is built once per run and
-/// shared by every worker's context.
+/// scans, and the RowSource H-Mine reads plain rows from. Read-only after
+/// construction, so it is built once per run and shared by every worker's
+/// context.
 struct FlatOuts {
   std::vector<Rank> data;
   std::vector<uint32_t> offsets;  // Row boundaries in data.
@@ -112,28 +113,50 @@ struct FlatOuts {
       }
     }
   }
+
+  std::span<const Rank> Transaction(fpm::Tid row) const {
+    return {data.data() + offsets[row], offsets[row + 1] - offsets[row]};
+  }
 };
 
+/// One lane's mining state: the slice machinery plus the H-Mine context
+/// that takes over the projections with no group structure left.
 class RecycleHmContext {
  public:
   RecycleHmContext(const SliceDb& sdb, const FlatOuts& fouts,
-                   SliceMiningContext* base)
+                   const fpm::FList& flist, uint64_t min_support,
+                   RunContext* run_ctx)
       : sdb_(sdb),
         fouts_(fouts),
-        base_(base),
-        counts_(base->flist().size(), 0),
-        local_of_(base->flist().size(), UINT32_MAX),
-        entry_kind_(base->flist().size(), kNone),
-        entry_idx_(base->flist().size(), 0),
-        entry_stamp_(base->flist().size(), 0) {}
+        base_(flist, min_support, nullptr, nullptr),
+        plain_(fouts, flist, min_support, nullptr, nullptr),
+        counts_(flist.size(), 0),
+        local_of_(flist.size(), UINT32_MAX),
+        entry_kind_(flist.size(), kNone),
+        entry_idx_(flist.size(), 0),
+        entry_stamp_(flist.size(), 0) {
+    base_.BindRunContext(run_ctx);
+    plain_.BindRunContext(run_ctx);
+  }
+
+  /// Redirects emission and counters, e.g. into a per-worker shard; the
+  /// scratch is kept, so a lane's context serves successive subtrees.
+  void SetSinks(fpm::PatternSet* out, fpm::MiningStats* stats) {
+    base_.SetSinks(out, stats);
+    plain_.SetSinks(out, stats);
+  }
+
+  void EmitPattern(const std::vector<Rank>& prefix, uint64_t support) {
+    base_.EmitPattern(prefix, support);
+  }
 
   /// Returns false iff a governed stop abandoned part of the subtree.
   bool Mine(const ProjectedDb& projs, std::vector<Rank>* prefix) {
     if (projs.slices.empty() && projs.gpatterns.empty() &&
         projs.paired.empty()) {
-      // No group structure left in this subtree: fall back to flat H-Mine
-      // mechanics (no species bookkeeping, one bucket array per level).
-      return PlainMine(projs.plain, prefix);
+      // No group structure left in this subtree: it is an H-Mine
+      // projection, dense switch included.
+      return plain_.Mine(projs.plain, prefix);
     }
     std::vector<uint64_t> freq_counts;
     const std::vector<Rank> frequent = Count(projs, &freq_counts);
@@ -144,23 +167,23 @@ class RecycleHmContext {
     // One pass threads every extension's bucket (Fill-RPHeader, §4.1).
     std::vector<ProjectedDb> buckets(frequent.size());
     BuildBuckets(projs, frequent, &buckets);
-    base_->stats()->projections_built += frequent.size();
+    base_.stats()->projections_built += frequent.size();
     // The buckets are this level's dominant scratch; charge them for the
     // time the recursion below keeps them alive.
     size_t bucket_bytes = 0;
-    if (base_->run_context() != nullptr) {
+    if (base_.run_context() != nullptr) {
       for (const ProjectedDb& b : buckets) bucket_bytes += ProjectedDbBytes(b);
     }
-    const ScopedBytes charge(base_->run_context(), bucket_bytes);
+    const ScopedBytes charge(base_.run_context(), bucket_bytes);
 
     bool completed = true;
     for (size_t i = 0; i < frequent.size(); ++i) {
-      if (base_->ShouldStop()) {
+      if (base_.ShouldStop()) {
         completed = false;
         break;
       }
       prefix->push_back(frequent[i]);
-      base_->EmitPattern(*prefix, freq_counts[i]);
+      base_.EmitPattern(*prefix, freq_counts[i]);
       if (!buckets[i].empty() && !Mine(buckets[i], prefix)) completed = false;
       prefix->pop_back();
       buckets[i] = ProjectedDb();  // Release level memory eagerly.
@@ -195,94 +218,25 @@ class RecycleHmContext {
   }
 
  private:
-  /// H-Mine-speed recursion for subtrees with no remaining group structure:
-  /// identical to the plain H-Mine bucket threading, over the flattened
-  /// outlying rows. Returns false iff a governed stop abandoned work.
-  bool PlainMine(const std::vector<TailRef>& rows,
-                 std::vector<Rank>* prefix) {
-    std::vector<Rank> touched;
-    for (const TailRef& tail : rows) {
-      const auto out = RowSuffix(tail.row, tail.pos);
-      for (Rank r : out) {
-        if (counts_[r] == 0) touched.push_back(r);
-        ++counts_[r];
-      }
-      base_->stats()->items_scanned += out.size();
-    }
-    std::vector<Rank> frequent;
-    for (Rank r : touched) {
-      if (counts_[r] >= base_->min_support()) frequent.push_back(r);
-    }
-    std::sort(frequent.begin(), frequent.end());
-    std::vector<uint64_t> freq_counts(frequent.size());
-    for (size_t i = 0; i < frequent.size(); ++i) {
-      freq_counts[i] = counts_[frequent[i]];
-    }
-    for (Rank r : touched) counts_[r] = 0;
-    if (frequent.empty()) return true;
-
-    std::vector<std::vector<TailRef>> buckets(frequent.size());
-    for (size_t i = 0; i < frequent.size(); ++i) {
-      local_of_[frequent[i]] = static_cast<uint32_t>(i);
-    }
-    for (const TailRef& tail : rows) {
-      const auto out = RowSuffix(tail.row, tail.pos);
-      for (size_t j = 0; j + 1 < out.size(); ++j) {
-        const uint32_t local = local_of_[out[j]];
-        if (local != UINT32_MAX) {
-          buckets[local].push_back(
-              {tail.row, tail.pos + static_cast<uint32_t>(j + 1)});
-        }
-      }
-    }
-    for (Rank r : frequent) local_of_[r] = UINT32_MAX;
-    base_->stats()->projections_built += frequent.size();
-
-    size_t bucket_bytes = 0;
-    if (base_->run_context() != nullptr) {
-      for (const auto& b : buckets) bucket_bytes += b.size() * sizeof(TailRef);
-    }
-    const ScopedBytes charge(base_->run_context(), bucket_bytes);
-
-    bool completed = true;
-    for (size_t i = 0; i < frequent.size(); ++i) {
-      if (base_->ShouldStop()) {
-        completed = false;
-        break;
-      }
-      prefix->push_back(frequent[i]);
-      base_->EmitPattern(*prefix, freq_counts[i]);
-      if (!buckets[i].empty() && !PlainMine(buckets[i], prefix)) {
-        completed = false;
-      }
-      prefix->pop_back();
-      buckets[i].clear();
-      buckets[i].shrink_to_fit();
-    }
-    return completed;
-  }
-
   std::span<const Rank> Pattern(uint32_t slice_id, uint32_t pos) const {
     const Slice& s = sdb_.slices[slice_id];
     return {s.pattern.data() + pos, s.pattern.size() - pos};
   }
 
   std::span<const Rank> RowSuffix(uint32_t row, uint32_t pos) const {
-    return {fouts_.data.data() + fouts_.offsets[row] + pos,
-            fouts_.offsets[row + 1] - fouts_.offsets[row] - pos};
+    return fouts_.Transaction(row).subspan(pos);
   }
 
   uint32_t RowLen(uint32_t row) const {
-    return fouts_.offsets[row + 1] - fouts_.offsets[row];
+    return static_cast<uint32_t>(fouts_.Transaction(row).size());
   }
 
   /// First unconsumed position of a row under a floor (kNoRank = none).
   uint32_t FlooredPos(uint32_t row, uint32_t pos, Rank floor) const {
     if (floor == kNoRank) return pos;
-    const Rank* begin = fouts_.data.data() + fouts_.offsets[row];
-    const Rank* end = fouts_.data.data() + fouts_.offsets[row + 1];
+    const std::span<const Rank> r = fouts_.Transaction(row);
     return static_cast<uint32_t>(
-        std::upper_bound(begin + pos, end, floor) - begin);
+        std::upper_bound(r.begin() + pos, r.end(), floor) - r.begin());
   }
 
   void CountSpan(std::span<const Rank> span, uint64_t weight,
@@ -291,7 +245,7 @@ class RecycleHmContext {
       if (counts_[r] == 0) touched->push_back(r);
       counts_[r] += weight;
     }
-    base_->stats()->items_scanned += span.size();
+    base_.stats()->items_scanned += span.size();
   }
 
  public:
@@ -316,13 +270,13 @@ class RecycleHmContext {
       CountSpan(Pattern(pt.slice_id, pt.pattern_pos), 1, &touched);
       CountSpan(RowSuffix(pt.row, pt.pos), 1, &touched);
     }
-    for (const TailRef& tail : projs.plain) {
-      CountSpan(RowSuffix(tail.row, tail.pos), 1, &touched);
+    for (const Suffix& s : projs.plain) {
+      CountSpan(RowSuffix(s.tid, s.pos), 1, &touched);
     }
 
     std::vector<Rank> frequent;
     for (Rank r : touched) {
-      if (counts_[r] >= base_->min_support()) frequent.push_back(r);
+      if (counts_[r] >= base_.min_support()) frequent.push_back(r);
     }
     std::sort(frequent.begin(), frequent.end());
     freq_counts->clear();
@@ -346,7 +300,7 @@ class RecycleHmContext {
       for (uint64_t c : freq_counts) {
         if (c != weight) return false;
       }
-      base_->EmitCombinations(frequent, weight, prefix);
+      base_.EmitCombinations(frequent, weight, prefix);
       return true;
     };
 
@@ -397,14 +351,16 @@ class RecycleHmContext {
                          buckets);
     }
 
-    // Plain rows: exactly H-Mine's bucket threading.
-    for (const TailRef& tail : projs.plain) {
-      const auto out = RowSuffix(tail.row, tail.pos);
-      for (size_t j = 0; j + 1 < out.size(); ++j) {
-        const uint32_t local = local_of_[out[j]];
+    // Plain rows: exactly H-Mine's suffix threading, empty suffixes
+    // included, so a projection left with plain rows only is the one H-Mine
+    // would have built.
+    for (const Suffix& s : projs.plain) {
+      const auto row = fouts_.Transaction(s.tid);
+      for (size_t j = s.pos; j < row.size(); ++j) {
+        const uint32_t local = local_of_[row[j]];
         if (local == UINT32_MAX) continue;
         (*buckets)[local].plain.push_back(
-            {tail.row, tail.pos + static_cast<uint32_t>(j + 1)});
+            {s.tid, static_cast<uint32_t>(j + 1)});
       }
     }
 
@@ -584,7 +540,8 @@ class RecycleHmContext {
 
   const SliceDb& sdb_;
   const FlatOuts& fouts_;              // Shared flattened outlying rows.
-  SliceMiningContext* base_;
+  SliceMiningContext base_;
+  fpm::HMineContext<FlatOuts> plain_;  // Mines plain-only projections.
   std::vector<uint64_t> counts_;       // Scratch, zero between calls.
   std::vector<uint32_t> local_of_;     // Scratch, UINT32_MAX between calls.
   std::vector<uint8_t> entry_kind_;    // Aggregation state per rank.
@@ -602,18 +559,15 @@ bool MineSlicesHM(const SliceDb& sdb, const fpm::FList& flist,
                   const std::vector<fpm::Rank>& prefix_ranks,
                   fpm::PatternSet* out, fpm::MiningStats* stats,
                   RunContext* run_ctx) {
-  SliceMiningContext base(flist, min_support, out, stats);
-  base.BindRunContext(run_ctx);
   const FlatOuts fouts(sdb);
-  RecycleHmContext root_ctx(sdb, fouts, &base);
+  RecycleHmContext root_ctx(sdb, fouts, flist, min_support, run_ctx);
+  root_ctx.SetSinks(out, stats);
   std::vector<Rank> prefix = prefix_ranks;
   const ProjectedDb root = root_ctx.Root();
 
   // Expand the root level once, then mine the first-level projections
-  // through MineFirstLevel. A plain-only root goes through the general
-  // Count/BuildBuckets path here; it produces the same buckets, patterns,
-  // and counters as the PlainMine shortcut (which only skips the species
-  // bookkeeping).
+  // through MineFirstLevel. Like H-Mine's root, a plain-only root is
+  // expanded here, never switched.
   std::vector<uint64_t> freq_counts;
   const std::vector<Rank> frequent = root_ctx.Count(root, &freq_counts);
   if (frequent.empty()) return true;
@@ -623,32 +577,25 @@ bool MineSlicesHM(const SliceDb& sdb, const fpm::FList& flist,
 
   std::vector<ProjectedDb> buckets(frequent.size());
   root_ctx.BuildBuckets(root, frequent, &buckets);
-  base.stats()->projections_built += frequent.size();
+  stats->projections_built += frequent.size();
 
   // Lane-local contexts reuse their rank-indexed scratch across subtrees;
   // all of them share the read-only SliceDb and CSR.
-  struct Lane {
-    std::unique_ptr<SliceMiningContext> base;
-    std::unique_ptr<RecycleHmContext> ctx;
-  };
   const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();
-  std::vector<Lane> lanes(pool->threads());
+  std::vector<std::unique_ptr<RecycleHmContext>> lanes(pool->threads());
   const auto mine_subtree = [&](fpm::MineShard* shard, size_t lane,
                                 size_t i) -> bool {
-    Lane& slot = lanes[lane];
-    if (!slot.ctx) {
-      slot.base = std::make_unique<SliceMiningContext>(
-          flist, min_support, nullptr, nullptr);
-      slot.base->BindRunContext(run_ctx);
-      slot.ctx =
-          std::make_unique<RecycleHmContext>(sdb, fouts, slot.base.get());
+    std::unique_ptr<RecycleHmContext>& ctx = lanes[lane];
+    if (!ctx) {
+      ctx = std::make_unique<RecycleHmContext>(sdb, fouts, flist, min_support,
+                                               run_ctx);
     }
-    slot.base->SetSinks(&shard->patterns, &shard->stats);
+    ctx->SetSinks(&shard->patterns, &shard->stats);
     std::vector<Rank> sub_prefix = prefix;
     sub_prefix.push_back(frequent[i]);
-    slot.base->EmitPattern(sub_prefix, freq_counts[i]);
+    ctx->EmitPattern(sub_prefix, freq_counts[i]);
     if (buckets[i].empty()) return true;
-    const bool completed = slot.ctx->Mine(buckets[i], &sub_prefix);
+    const bool completed = ctx->Mine(buckets[i], &sub_prefix);
     buckets[i] = ProjectedDb();  // Release level memory eagerly.
     return completed;
   };
@@ -664,27 +611,11 @@ bool MineSlicesHM(const SliceDb& sdb, const fpm::FList& flist,
                              /*mark_frontier=*/prefix_ranks.empty());
 }
 
-Result<fpm::PatternSet> RecycleHMineMiner::MineImpl(
-    const CompressedDb& cdb, uint64_t min_support) {
-  stats_.Reset();
-  GOGREEN_TRACE_SPAN("mine.recycle-hm");
-  Timer timer;
+fpm::PatternSet RecycleHMineMiner::MineImpl(const SliceDb& sdb,
+                                            const fpm::FList& flist,
+                                            uint64_t min_support) {
   fpm::PatternSet out;
-
-  const fpm::FList flist = fpm::FList::FromCounts(
-      cdb.CountItemSupports(cdb.ItemUniverseSize()), min_support);
-  if (check::ValidationEnabled()) {
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateCompressedDb(cdb, nullptr));
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateFList(flist, min_support));
-  }
-  if (!flist.empty()) {
-    const SliceDb sdb = SliceDb::Build(cdb, flist);
-    MineSlicesHM(sdb, flist, min_support, {}, &out, &stats_, run_ctx_);
-  }
-
-  stats_.patterns_emitted = out.size();
-  stats_.elapsed_seconds = timer.ElapsedSeconds();
-  fpm::RecordMiningStats(stats_);
+  MineSlicesHM(sdb, flist, min_support, {}, &out, &stats_, run_ctx_);
   return out;
 }
 

@@ -22,8 +22,8 @@ class RecycleHMineMiner : public CompressedMiner {
   std::string name() const override { return "recycle-hm"; }
 
  protected:
-  Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
-                                   uint64_t min_support) override;
+  fpm::PatternSet MineImpl(const SliceDb& sdb, const fpm::FList& flist,
+                           uint64_t min_support) override;
 };
 
 /// Mines a slice database in memory with the Recycle-HM core, prefixing

@@ -3,37 +3,18 @@
 #include <algorithm>
 #include <memory>
 
-#include "check/check_db.h"
 #include "core/slice_db.h"
 #include "fpm/parallel_mine.h"
-#include "obs/trace.h"
+#include "fpm/tree_projection.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace gogreen::core {
 
 namespace {
 
+using fpm::PairMatrix;
 using fpm::Rank;
-
-/// Upper-triangular weighted pair-count matrix over n local items.
-class PairMatrix {
- public:
-  explicit PairMatrix(size_t n) : n_(n), counts_(n * (n - 1) / 2, 0) {}
-
-  void Add(size_t i, size_t j, uint64_t w) { counts_[Index(i, j)] += w; }
-  uint64_t Get(size_t i, size_t j) const { return counts_[Index(i, j)]; }
-
- private:
-  size_t Index(size_t i, size_t j) const {
-    GOGREEN_DCHECK(i < j && j < n_);
-    return i * (2 * n_ - i - 1) / 2 + (j - i - 1);
-  }
-
-  size_t n_;
-  std::vector<uint64_t> counts_;
-};
 
 class RecycleTpContext {
  public:
@@ -43,7 +24,8 @@ class RecycleTpContext {
   /// Processes one node: `ext` (ascending ranks) are the known-frequent
   /// extensions with supports `c1`; `slices` contain only ext items. Rows
   /// inside the slices are weighted (the bucketing the Tree Projection
-  /// baseline also uses).
+  /// baseline also uses). The root (empty `prefix`) hands its children to
+  /// MineFirstLevel; each child only reads the shared matrix and slices.
   /// Returns false iff a governed stop abandoned part of the subtree.
   bool Process(const std::vector<WeightedSlice>& slices,
                const std::vector<Rank>& ext, const std::vector<uint64_t>& c1,
@@ -59,18 +41,54 @@ class RecycleTpContext {
 
     PairMatrix matrix(ext.size());
     FillMatrix(slices, ext, &matrix);
-
-    bool completed = true;
-    for (size_t i = 0; i + 1 < ext.size(); ++i) {
-      if (base_->ShouldStop()) {
-        completed = false;
-        break;
+    if (!prefix->empty()) {
+      bool completed = true;
+      for (size_t i = 0; i + 1 < ext.size(); ++i) {
+        if (base_->ShouldStop()) {
+          completed = false;
+          break;
+        }
+        if (!MineChild(slices, ext, matrix, i, prefix)) completed = false;
       }
-      if (!MineChild(slices, ext, matrix, i, prefix)) completed = false;
+      return completed;
     }
-    return completed;
+
+    // Lane-local contexts reuse the rank-indexed scratch across subtrees.
+    struct Lane {
+      std::unique_ptr<SliceMiningContext> base;
+      std::unique_ptr<RecycleTpContext> ctx;
+    };
+    RunContext* run_ctx = base_->run_context();
+    const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();
+    std::vector<Lane> lanes(pool->threads());
+    const auto mine_subtree = [&](fpm::MineShard* shard, size_t lane,
+                                  size_t i) -> bool {
+      Lane& slot = lanes[lane];
+      if (!slot.ctx) {
+        slot.base = std::make_unique<SliceMiningContext>(
+            base_->flist(), base_->min_support(), nullptr, nullptr);
+        slot.base->BindRunContext(run_ctx);
+        slot.ctx = std::make_unique<RecycleTpContext>(slot.base.get());
+      }
+      slot.base->SetSinks(&shard->patterns, &shard->stats);
+      std::vector<Rank> sub_prefix;
+      return slot.ctx->MineChild(slices, ext, matrix, i, &sub_prefix);
+    };
+
+    // Child i's subtree holds the patterns whose rarest item is ext[i],
+    // supported at most c1[i]; root slices and matrix stay live for the
+    // whole fan-out.
+    const std::vector<uint64_t> level_supports(c1.begin(), c1.end() - 1);
+    const ScopedBytes root_charge(
+        run_ctx, run_ctx != nullptr
+                     ? ApproxWeightedSliceBytes(slices) + matrix.Bytes()
+                     : 0);
+    return fpm::MineFirstLevel(pool, ext.size() - 1, mine_subtree,
+                               base_->out(), base_->stats(), run_ctx,
+                               level_supports, /*mark_frontier=*/true);
   }
 
+ private:
   /// One scan fills all pair supports. Pattern-internal pairs are counted
   /// once per slice with the slice weight (the group-counter saving);
   /// pairs touching outlying rows are counted once per distinct row with
@@ -145,7 +163,6 @@ class RecycleTpContext {
     return completed;
   }
 
- private:
   /// Projects onto `f` and keeps only items in `keep` (ascending ranks).
   std::vector<WeightedSlice> ProjectAndFilter(
       const std::vector<WeightedSlice>& slices, Rank f,
@@ -190,87 +207,21 @@ class RecycleTpContext {
 
 }  // namespace
 
-Result<fpm::PatternSet> RecycleTpMiner::MineImpl(
-    const CompressedDb& cdb, uint64_t min_support) {
-  stats_.Reset();
-  GOGREEN_TRACE_SPAN("mine.recycle-tp");
-  Timer timer;
+fpm::PatternSet RecycleTpMiner::MineImpl(const SliceDb& sdb,
+                                         const fpm::FList& flist,
+                                         uint64_t min_support) {
   fpm::PatternSet out;
-
-  const fpm::FList flist = fpm::FList::FromCounts(
-      cdb.CountItemSupports(cdb.ItemUniverseSize()), min_support);
-  if (check::ValidationEnabled()) {
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateCompressedDb(cdb, nullptr));
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateFList(flist, min_support));
+  SliceMiningContext base(flist, min_support, &out, &stats_);
+  base.BindRunContext(run_ctx_);
+  // Root node: extensions are all frequent items.
+  std::vector<Rank> ext(flist.size());
+  std::vector<uint64_t> c1(flist.size());
+  for (Rank r = 0; r < flist.size(); ++r) {
+    ext[r] = r;
+    c1[r] = flist.support(r);
   }
-  if (!flist.empty()) {
-    const SliceDb sdb = SliceDb::Build(cdb, flist);
-    SliceMiningContext base(flist, min_support, &out, &stats_);
-    base.BindRunContext(run_ctx_);
-    RecycleTpContext ctx(&base);
-
-    std::vector<Rank> ext(flist.size());
-    std::vector<uint64_t> c1(flist.size());
-    for (Rank r = 0; r < flist.size(); ++r) {
-      ext[r] = r;
-      c1[r] = flist.support(r);
-    }
-    std::vector<Rank> prefix;
-    const std::vector<WeightedSlice> root = BuildWeightedSlices(sdb);
-
-    if (ext.size() < 2) {
-      ctx.Process(root, ext, c1, &prefix);
-    } else if (!base.TrySingleGroupWeighted(root, ext, c1, &prefix)) {
-      // Root expansion mirrors Process(): singletons, one matrix fill, then
-      // the first-level children through MineFirstLevel, each only reading
-      // the shared matrix and root slices.
-      for (size_t i = 0; i < ext.size(); ++i) {
-        prefix.push_back(ext[i]);
-        base.EmitPattern(prefix, c1[i]);
-        prefix.pop_back();
-      }
-      PairMatrix matrix(ext.size());
-      ctx.FillMatrix(root, ext, &matrix);
-
-      // Lane-local contexts reuse the rank-indexed scratch across subtrees.
-      struct Lane {
-        std::unique_ptr<SliceMiningContext> base;
-        std::unique_ptr<RecycleTpContext> ctx;
-      };
-      const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();
-      std::vector<Lane> lanes(pool->threads());
-      const auto mine_subtree = [&](fpm::MineShard* shard, size_t lane,
-                                    size_t i) -> bool {
-        Lane& slot = lanes[lane];
-        if (!slot.ctx) {
-          slot.base = std::make_unique<SliceMiningContext>(
-              flist, min_support, nullptr, nullptr);
-          slot.base->BindRunContext(run_ctx_);
-          slot.ctx = std::make_unique<RecycleTpContext>(slot.base.get());
-        }
-        slot.base->SetSinks(&shard->patterns, &shard->stats);
-        std::vector<Rank> sub_prefix;
-        return slot.ctx->MineChild(root, ext, matrix, i, &sub_prefix);
-      };
-
-      // Child i's subtree holds the patterns whose rarest item is ext[i],
-      // supported at most c1[i]; root slices and matrix stay live for the
-      // whole fan-out.
-      const std::vector<uint64_t> level_supports(c1.begin(), c1.end() - 1);
-      size_t root_bytes = 0;
-      if (run_ctx_ != nullptr) {
-        root_bytes = ApproxWeightedSliceBytes(root) +
-                     ext.size() * (ext.size() - 1) / 2 * sizeof(uint64_t);
-      }
-      const ScopedBytes root_charge(run_ctx_, root_bytes);
-      fpm::MineFirstLevel(pool, ext.size() - 1, mine_subtree, &out, &stats_,
-                          run_ctx_, level_supports, /*mark_frontier=*/true);
-    }
-  }
-
-  stats_.patterns_emitted = out.size();
-  stats_.elapsed_seconds = timer.ElapsedSeconds();
-  fpm::RecordMiningStats(stats_);
+  std::vector<Rank> prefix;
+  RecycleTpContext(&base).Process(BuildWeightedSlices(sdb), ext, c1, &prefix);
   return out;
 }
 

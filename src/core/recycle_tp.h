@@ -17,8 +17,8 @@ class RecycleTpMiner : public CompressedMiner {
   std::string name() const override { return "recycle-tp"; }
 
  protected:
-  Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
-                                   uint64_t min_support) override;
+  fpm::PatternSet MineImpl(const SliceDb& sdb, const fpm::FList& flist,
+                           uint64_t min_support) override;
 };
 
 }  // namespace gogreen::core

@@ -1,9 +1,6 @@
 #include "core/rp_mine.h"
 
-#include "check/check_db.h"
 #include "core/slice_db.h"
-#include "obs/trace.h"
-#include "util/timer.h"
 
 namespace gogreen::core {
 
@@ -31,29 +28,13 @@ void MineRec(SliceMiningContext* ctx, const std::vector<Slice>& slices,
 
 }  // namespace
 
-Result<fpm::PatternSet> RpMineMiner::MineImpl(const CompressedDb& cdb,
-                                              uint64_t min_support) {
-  stats_.Reset();
-  GOGREEN_TRACE_SPAN("mine.rp-mine");
-  Timer timer;
+fpm::PatternSet RpMineMiner::MineImpl(const SliceDb& sdb,
+                                      const fpm::FList& flist,
+                                      uint64_t min_support) {
   fpm::PatternSet out;
-
-  const fpm::FList flist = fpm::FList::FromCounts(
-      cdb.CountItemSupports(cdb.ItemUniverseSize()), min_support);
-  if (check::ValidationEnabled()) {
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateCompressedDb(cdb, nullptr));
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateFList(flist, min_support));
-  }
-  if (!flist.empty()) {
-    const SliceDb sdb = SliceDb::Build(cdb, flist);
-    SliceMiningContext ctx(flist, min_support, &out, &stats_);
-    std::vector<Rank> prefix;
-    MineRec(&ctx, sdb.slices, &prefix);
-  }
-
-  stats_.patterns_emitted = out.size();
-  stats_.elapsed_seconds = timer.ElapsedSeconds();
-  fpm::RecordMiningStats(stats_);
+  SliceMiningContext ctx(flist, min_support, &out, &stats_);
+  std::vector<Rank> prefix;
+  MineRec(&ctx, sdb.slices, &prefix);
   return out;
 }
 

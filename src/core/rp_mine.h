@@ -14,8 +14,8 @@ class RpMineMiner : public CompressedMiner {
   std::string name() const override { return "rp-mine"; }
 
  protected:
-  Result<fpm::PatternSet> MineImpl(const CompressedDb& cdb,
-                                   uint64_t min_support) override;
+  fpm::PatternSet MineImpl(const SliceDb& sdb, const fpm::FList& flist,
+                           uint64_t min_support) override;
 };
 
 }  // namespace gogreen::core

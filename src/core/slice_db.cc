@@ -26,17 +26,6 @@ inline uint64_t WeightOf(const std::pair<std::vector<Rank>, uint64_t>& row) {
   return row.second;
 }
 
-struct RowHash {
-  size_t operator()(const std::vector<Rank>& v) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (Rank x : v) {
-      h ^= x;
-      h *= 0x100000001b3ULL;
-    }
-    return h;
-  }
-};
-
 }  // namespace
 
 SliceDb SliceDb::Build(const CompressedDb& cdb, const fpm::FList& flist) {
@@ -237,7 +226,7 @@ std::vector<Slice> ProjectSlices(const std::vector<Slice>& slices, Rank f) {
 void DedupeWeightedOuts(
     std::vector<std::pair<std::vector<Rank>, uint64_t>>* outs) {
   if (outs->size() < 2) return;
-  std::unordered_map<std::vector<Rank>, uint64_t, RowHash> merged;
+  std::unordered_map<std::vector<Rank>, uint64_t, fpm::RankRowHash> merged;
   merged.reserve(outs->size());
   for (auto& [row, w] : *outs) merged[std::move(row)] += w;
   outs->clear();
@@ -270,7 +259,7 @@ std::vector<WeightedSlice> BuildWeightedSlices(const SliceDb& sdb) {
 /// shared upper branches.
 void MergeEqualPatterns(std::vector<WeightedSlice>* slices) {
   if (slices->size() < 2) return;
-  std::unordered_map<std::vector<Rank>, size_t, RowHash> first;
+  std::unordered_map<std::vector<Rank>, size_t, fpm::RankRowHash> first;
   first.reserve(slices->size());
   std::vector<WeightedSlice> merged;
   merged.reserve(slices->size());

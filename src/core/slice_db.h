@@ -77,6 +77,7 @@ class SliceMiningContext {
 
   const fpm::FList& flist() const { return flist_; }
   uint64_t min_support() const { return min_support_; }
+  fpm::PatternSet* out() const { return out_; }
   fpm::MiningStats* stats() { return stats_; }
 
   /// Redirects emission and counters, e.g. into a per-worker shard. The

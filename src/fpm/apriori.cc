@@ -4,8 +4,6 @@
 
 #include "fpm/pattern.h"
 #include "fpm/pattern_trie.h"
-#include "obs/trace.h"
-#include "util/timer.h"
 
 namespace gogreen::fpm {
 
@@ -46,11 +44,8 @@ std::vector<std::vector<ItemId>> GenerateCandidates(
 
 }  // namespace
 
-Result<PatternSet> AprioriMiner::MineImpl(const TransactionDb& db,
-                                          uint64_t min_support) {
-  stats_.Reset();
-  GOGREEN_TRACE_SPAN("mine.apriori");
-  Timer timer;
+PatternSet AprioriMiner::MineImpl(const TransactionDb& db,
+                                  uint64_t min_support) {
   PatternSet out;
 
   // Level 1 from a single support-counting scan.
@@ -103,10 +98,6 @@ Result<PatternSet> AprioriMiner::MineImpl(const TransactionDb& db,
     // ForEachPattern emits in lexicographic order, as GenerateCandidates
     // requires.
   }
-
-  stats_.patterns_emitted = out.size();
-  stats_.elapsed_seconds = timer.ElapsedSeconds();
-  RecordMiningStats(stats_);
   return out;
 }
 

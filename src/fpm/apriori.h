@@ -14,8 +14,7 @@ class AprioriMiner : public FrequentPatternMiner {
   std::string name() const override { return "apriori"; }
 
  protected:
-  Result<PatternSet> MineImpl(const TransactionDb& db,
-                              uint64_t min_support) override;
+  PatternSet MineImpl(const TransactionDb& db, uint64_t min_support) override;
 };
 
 }  // namespace gogreen::fpm

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "fpm/flist.h"
-#include "obs/trace.h"
 #include "util/bitset.h"
-#include "util/timer.h"
 
 namespace gogreen::fpm {
 
@@ -131,11 +129,8 @@ bool PreferBitsets(const FList& flist, size_t num_transactions) {
 
 }  // namespace
 
-Result<PatternSet> EclatMiner::MineImpl(const TransactionDb& db,
-                                        uint64_t min_support) {
-  stats_.Reset();
-  GOGREEN_TRACE_SPAN("mine.eclat");
-  Timer timer;
+PatternSet EclatMiner::MineImpl(const TransactionDb& db,
+                                uint64_t min_support) {
   PatternSet out;
 
   const FList flist = FList::Build(db, min_support);
@@ -179,10 +174,6 @@ Result<PatternSet> EclatMiner::MineImpl(const TransactionDb& db,
       ctx.Expand(&prefix, roots);
     }
   }
-
-  stats_.patterns_emitted = out.size();
-  stats_.elapsed_seconds = timer.ElapsedSeconds();
-  RecordMiningStats(stats_);
   return out;
 }
 

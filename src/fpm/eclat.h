@@ -28,8 +28,7 @@ class EclatMiner : public FrequentPatternMiner {
   std::string name() const override { return "eclat"; }
 
  protected:
-  Result<PatternSet> MineImpl(const TransactionDb& db,
-                              uint64_t min_support) override;
+  PatternSet MineImpl(const TransactionDb& db, uint64_t min_support) override;
 
  private:
   EclatLayout layout_;

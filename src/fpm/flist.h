@@ -96,6 +96,19 @@ class RankedDb {
   std::vector<uint64_t> offsets_{0};
 };
 
+/// FNV-1a over a row of ranks, for the hash maps that merge identical rows
+/// (Tree Projection's transaction bucketing, weighted slices' out rows).
+struct RankRowHash {
+  size_t operator()(const std::vector<Rank>& row) const {
+    size_t h = 0xcbf29ce484222325ULL;
+    for (Rank r : row) {
+      h ^= r;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  }
+};
+
 }  // namespace gogreen::fpm
 
 #endif  // GOGREEN_FPM_FLIST_H_

@@ -5,10 +5,8 @@
 
 #include "fpm/flist.h"
 #include "fpm/parallel_mine.h"
-#include "obs/trace.h"
 #include "util/arena.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace gogreen::fpm {
 
@@ -338,11 +336,8 @@ bool MineRankRowsFP(const std::vector<std::span<const Rank>>& rows,
   return ctx.Mine(tree, frequent, prefix);
 }
 
-Result<PatternSet> FpGrowthMiner::MineImpl(const TransactionDb& db,
-                                           uint64_t min_support) {
-  stats_.Reset();
-  GOGREEN_TRACE_SPAN("mine.fp-growth");
-  Timer timer;
+PatternSet FpGrowthMiner::MineImpl(const TransactionDb& db,
+                                   uint64_t min_support) {
   PatternSet out;
 
   const FList flist = FList::Build(db, min_support);
@@ -399,10 +394,6 @@ Result<PatternSet> FpGrowthMiner::MineImpl(const TransactionDb& db,
       }
     }
   }
-
-  stats_.patterns_emitted = out.size();
-  stats_.elapsed_seconds = timer.ElapsedSeconds();
-  RecordMiningStats(stats_);
   return out;
 }
 

@@ -19,8 +19,7 @@ class FpGrowthMiner : public FrequentPatternMiner {
   std::string name() const override { return "fp-growth"; }
 
  protected:
-  Result<PatternSet> MineImpl(const TransactionDb& db,
-                              uint64_t min_support) override;
+  PatternSet MineImpl(const TransactionDb& db, uint64_t min_support) override;
 };
 
 /// Mines a projected database given as rank rows (each a span of global

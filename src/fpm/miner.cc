@@ -15,6 +15,7 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace gogreen::fpm {
 
@@ -52,64 +53,7 @@ void RecordGovernorOutcome(RunContext* ctx, bool partial) {
   bytes_peak->UpdateMax(static_cast<int64_t>(ctx->bytes_peak()));
 }
 
-}  // namespace
-
-Result<MineResult> FinishMine(Result<PatternSet> mined, uint64_t min_support,
-                              const MineRequest& request,
-                              const MiningStats& stats) {
-  if (!mined.ok()) return mined.status();
-  RunContext* ctx = request.run_context;
-  MineResult result;
-  result.patterns = std::move(mined).value();
-  result.frontier_support = min_support;
-  if (ctx != nullptr && ctx->incomplete()) {
-    result.partial = true;
-    result.stop_status = ctx->StopStatus();
-    result.frontier_support = std::max(min_support, ctx->frontier_support());
-    // Subtrees below the frontier may have been cut mid-emission; dropping
-    // everything under the frontier restores exactness (the completed
-    // most-frequent-first subtrees contain every pattern at or above it).
-    result.patterns = result.patterns.FilterBySupport(result.frontier_support);
-  }
-  RecordGovernorOutcome(ctx, result.partial);
-  // Every cooperatively charged byte must be released by the time a
-  // governed run reaches this epilogue (leaked ScopedBytes would starve
-  // later runs sharing the budget).
-  if (ctx != nullptr) {
-    GOGREEN_VALIDATE_OR_DIE(check::ValidateRunContext(*ctx));
-  }
-  result.stats = stats;
-  if (request.constraints != nullptr &&
-      request.constraints->NumConstraints() > 0) {
-    result.patterns = request.constraints->Filter(result.patterns);
-  }
-  return result;
-}
-
-Result<uint64_t> MineRequest::EffectiveMinSupport() const {
-  uint64_t support = min_support;
-  if (constraints != nullptr) {
-    support = std::max(support, constraints->min_support());
-  }
-  if (support == 0) {
-    return Status::InvalidArgument(
-        "MineRequest needs a min_support >= 1 (directly or via constraints)");
-  }
-  return support;
-}
-
-Result<MineResult> FrequentPatternMiner::Mine(const TransactionDb& db,
-                                              const MineRequest& request) {
-  GOGREEN_ASSIGN_OR_RETURN(const uint64_t minsup,
-                           request.EffectiveMinSupport());
-  GOGREEN_TRACE_SPAN("run.governor");
-  const ThreadPool::ScopedThreads scoped_threads(request.threads);
-  run_ctx_ = request.run_context;  // Bound for this call only.
-  Result<PatternSet> mined = MineImpl(db, minsup);
-  run_ctx_ = nullptr;
-  return FinishMine(std::move(mined), minsup, request, stats_);
-}
-
+/// Flushes one finished mining run's counters into the `mine.*` metrics.
 void RecordMiningStats(const MiningStats& stats) {
   using obs::MetricRegistry;
   static obs::Counter* runs =
@@ -130,6 +74,74 @@ void RecordMiningStats(const MiningStats& stats) {
   projections->Add(stats.projections_built);
   patterns->Add(stats.patterns_emitted);
   seconds->Observe(stats.elapsed_seconds);
+}
+
+}  // namespace
+
+Result<uint64_t> MineRequest::EffectiveMinSupport() const {
+  uint64_t support = min_support;
+  if (constraints != nullptr) {
+    support = std::max(support, constraints->min_support());
+  }
+  if (support == 0) {
+    return Status::InvalidArgument(
+        "MineRequest needs a min_support >= 1 (directly or via constraints)");
+  }
+  return support;
+}
+
+Result<MineResult> RunMine(
+    const std::string& name, const MineRequest& request, MiningStats* stats,
+    RunContext** run_ctx,
+    const std::function<PatternSet(uint64_t min_support)>& mine_impl) {
+  GOGREEN_ASSIGN_OR_RETURN(const uint64_t minsup,
+                           request.EffectiveMinSupport());
+  GOGREEN_TRACE_SPAN("run.governor");
+  const ThreadPool::ScopedThreads scoped_threads(request.threads);
+  RunContext* ctx = request.run_context;
+  MineResult result;
+  stats->Reset();
+  {
+    const std::string span = "mine." + name;
+    const obs::TraceSpan mine_span(span.c_str());
+    const Timer timer;
+    *run_ctx = ctx;  // Bound for this call only.
+    result.patterns = mine_impl(minsup);
+    *run_ctx = nullptr;
+    stats->patterns_emitted = result.patterns.size();
+    stats->elapsed_seconds = timer.ElapsedSeconds();
+    RecordMiningStats(*stats);
+  }
+
+  result.frontier_support = minsup;
+  if (ctx != nullptr && ctx->incomplete()) {
+    result.partial = true;
+    result.stop_status = ctx->StopStatus();
+    result.frontier_support = std::max(minsup, ctx->frontier_support());
+    // Subtrees below the frontier may have been cut mid-emission; dropping
+    // everything under the frontier restores exactness (the completed
+    // most-frequent-first subtrees contain every pattern at or above it).
+    result.patterns = result.patterns.FilterBySupport(result.frontier_support);
+  }
+  RecordGovernorOutcome(ctx, result.partial);
+  // Every cooperatively charged byte must be released by the time a
+  // governed run reaches this epilogue (leaked ScopedBytes would starve
+  // later runs sharing the budget).
+  if (ctx != nullptr) {
+    GOGREEN_VALIDATE_OR_DIE(check::ValidateRunContext(*ctx));
+  }
+  result.stats = *stats;
+  if (request.constraints != nullptr &&
+      request.constraints->NumConstraints() > 0) {
+    result.patterns = request.constraints->Filter(result.patterns);
+  }
+  return result;
+}
+
+Result<MineResult> FrequentPatternMiner::Mine(const TransactionDb& db,
+                                              const MineRequest& request) {
+  return RunMine(name(), request, &stats_, &run_ctx_,
+                 [&](uint64_t support) { return MineImpl(db, support); });
 }
 
 std::unique_ptr<FrequentPatternMiner> CreateMiner(MinerKind kind) {

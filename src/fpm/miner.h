@@ -4,6 +4,7 @@
 #define GOGREEN_FPM_MINER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -26,13 +27,6 @@ struct MiningStats {
 
   void Reset() { *this = MiningStats(); }
 };
-
-/// Flushes one finished mining run into the global metric registry
-/// (`mine.runs`, `mine.items_scanned`, `mine.projections_built`,
-/// `mine.patterns_emitted`, and the `mine.seconds` histogram). Miners call
-/// this once per Mine() so hot loops keep their cheap local counters; the
-/// registry view stays consistent with MineResult::stats.
-void RecordMiningStats(const MiningStats& stats);
 
 /// One mining query, in full. This is the single entry shape shared by
 /// FrequentPatternMiner, core::CompressedMiner, serve::MiningService, and
@@ -101,15 +95,21 @@ struct [[nodiscard]] MineResult {
   MiningStats stats;
 };
 
-/// The epilogue both miner interfaces' Mine(…, request) share: turns the
-/// implementation hook's raw set into a MineResult carrying `stats`. When
-/// the request's governor stopped the run, the set is filtered to the
-/// frontier support (subtrees below it may have been cut mid-emission);
-/// then the request's constraints are applied and the `run.*` metrics
-/// flushed. `min_support` is the request's effective support.
-Result<MineResult> FinishMine(Result<PatternSet> mined, uint64_t min_support,
-                              const MineRequest& request,
-                              const MiningStats& stats);
+/// The body both miner interfaces' Mine(…, request) share; `mine_impl`
+/// is the miner's algorithm at the request's effective support. Binds the
+/// request's thread count, and its governor to `*run_ctx` for this call
+/// only. Resets `*stats`, runs `mine_impl` inside the `mine.<name>` span,
+/// stamps the run's patterns_emitted and elapsed_seconds, and flushes the
+/// `mine.*` metrics (`mine.runs`, `mine.items_scanned`,
+/// `mine.projections_built`, `mine.patterns_emitted`, the `mine.seconds`
+/// histogram), so hot loops keep cheap local counters. When the governor
+/// stopped the run, the set is filtered to the frontier support (subtrees
+/// below it may have been cut mid-emission); then the request's
+/// constraints are applied and the `run.*` metrics flushed.
+Result<MineResult> RunMine(
+    const std::string& name, const MineRequest& request, MiningStats* stats,
+    RunContext** run_ctx,
+    const std::function<PatternSet(uint64_t min_support)>& mine_impl);
 
 /// Interface implemented by every complete-set frequent-pattern miner. A
 /// single miner instance may be reused serially.
@@ -131,9 +131,9 @@ class FrequentPatternMiner {
 
  protected:
   /// The algorithm: the complete set with support >= min_support (>= 1).
-  /// Reads the governor from run_ctx_ and leaves its counters in stats_.
-  virtual Result<PatternSet> MineImpl(const TransactionDb& db,
-                                      uint64_t min_support) = 0;
+  /// Reads the governor from run_ctx_ and adds its counters to stats_.
+  virtual PatternSet MineImpl(const TransactionDb& db,
+                              uint64_t min_support) = 0;
 
   MiningStats stats_;
   /// Governor of the in-flight Mine call; bound for the span of that call

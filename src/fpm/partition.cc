@@ -25,12 +25,6 @@ SpillWriter::SpillWriter(std::string dir, std::string stem, size_t num_ranks)
     : dir_(std::move(dir)), stem_(std::move(stem)),
       files_(num_ranks, nullptr) {}
 
-SpillWriter::~SpillWriter() {
-  for (std::FILE* f : files_) {
-    if (f != nullptr) std::fclose(f);
-  }
-}
-
 std::string SpillWriter::PathOf(Rank r) const {
   return dir_ + "/" + stem_ + "." + std::to_string(r) + ".spill";
 }
@@ -154,21 +148,12 @@ Status MinePartition(std::vector<std::vector<Rank>> rows, const FList& flist,
     out->Add(std::move(items), counts[r]);
 
     auto loaded = ReadSpill(writer.PathOf(r));
-    if (!loaded.ok()) {
-      writer.Cleanup();
-      return loaded.status();
-    }
-    const Status st =
-        MinePartition(std::move(loaded).value(), flist, min_support,
-                      memory_limit, temp_dir, depth + 1, prefix_ranks, out,
-                      stats);
-    if (!st.ok()) {
-      writer.Cleanup();
-      return st;
-    }
+    GOGREEN_RETURN_NOT_OK(loaded.status());  // Writer dtor cleans up.
+    GOGREEN_RETURN_NOT_OK(MinePartition(
+        std::move(loaded).value(), flist, min_support, memory_limit, temp_dir,
+        depth + 1, prefix_ranks, out, stats));
     prefix_ranks->pop_back();
   }
-  writer.Cleanup();
   return Status::OK();
 }
 

@@ -36,11 +36,13 @@ size_t EstimateHMineMemory(size_t total_items, size_t num_rows,
 
 /// Writes rank-encoded rows into one spill file per rank.
 /// Format per record: uint32 length followed by that many uint32 ranks.
+/// Destruction closes and removes every file the writer created, so spill
+/// files cannot leak on any exit path.
 class SpillWriter {
  public:
   /// Files are created lazily as `dir`/`stem`.<rank>.spill.
   SpillWriter(std::string dir, std::string stem, size_t num_ranks);
-  ~SpillWriter();
+  ~SpillWriter() { Cleanup(); }
 
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;
@@ -57,7 +59,8 @@ class SpillWriter {
   /// Ranks that received at least one row.
   const std::vector<Rank>& used_ranks() const { return used_; }
 
-  /// Deletes all created files.
+  /// Deletes all created files now (idempotent; the destructor does it
+  /// too).
   void Cleanup();
 
  private:

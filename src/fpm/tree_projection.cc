@@ -6,9 +6,7 @@
 #include "check/check.h"
 #include "fpm/flist.h"
 #include "fpm/parallel_mine.h"
-#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace gogreen::fpm {
 
@@ -18,25 +16,6 @@ namespace {
 // fall back to project-and-recount for that node only (correctness is
 // unaffected, only the grandchild pruning is lost).
 constexpr size_t kMaxMatrixItems = 4096;
-
-/// Upper-triangular pair-count matrix over n local items.
-class PairMatrix {
- public:
-  explicit PairMatrix(size_t n) : n_(n), counts_(n * (n - 1) / 2, 0) {}
-
-  void Add(size_t i, size_t j, uint64_t w) { counts_[Index(i, j)] += w; }
-  uint64_t Get(size_t i, size_t j) const { return counts_[Index(i, j)]; }
-
- private:
-  size_t Index(size_t i, size_t j) const {
-    GOGREEN_DCHECK(i < j && j < n_);
-    // Row-major upper triangle: row i starts after sum of previous rows.
-    return i * (2 * n_ - i - 1) / 2 + (j - i - 1);
-  }
-
-  size_t n_;
-  std::vector<uint64_t> counts_;
-};
 
 /// One distinct projected transaction in a node-local item space, with the
 /// number of identical original transactions it stands for. Collapsing
@@ -49,20 +28,9 @@ struct WeightedRow {
 
 using LocalRows = std::vector<WeightedRow>;
 
-struct RowHash {
-  size_t operator()(const std::vector<uint32_t>& v) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (uint32_t x : v) {
-      h ^= x;
-      h *= 0x100000001b3ULL;
-    }
-    return h;
-  }
-};
-
 /// Merges identical rows, summing weights.
 LocalRows Dedupe(std::vector<std::pair<std::vector<uint32_t>, uint64_t>> raw) {
-  std::unordered_map<std::vector<uint32_t>, uint64_t, RowHash> merged;
+  std::unordered_map<std::vector<uint32_t>, uint64_t, RankRowHash> merged;
   merged.reserve(raw.size());
   for (auto& [items, weight] : raw) {
     merged[std::move(items)] += weight;
@@ -97,7 +65,12 @@ class TpContext {
   ///  - `c1[i]`: support of prefix + ext[i].
   ///  - `rows`: weighted distinct transactions containing the prefix,
   ///    reduced to ext items.
-  /// Returns false iff a governed stop abandoned part of the subtree.
+  /// Emits prefix + ext[i] for every i, fills the node's pair matrix once
+  /// (or, above the matrix limit, leaves each child to recount), then mines
+  /// child i < ext.size() - 1 for every i. The root (empty `prefix`) hands
+  /// its children to MineFirstLevel; each child only reads the shared
+  /// matrix and rows. Returns false iff a governed stop abandoned part of
+  /// the subtree.
   bool Process(std::vector<Rank>* prefix, const std::vector<Rank>& ext,
                const std::vector<uint64_t>& c1, const LocalRows& rows) {
     for (size_t i = 0; i < ext.size(); ++i) {
@@ -107,76 +80,45 @@ class TpContext {
     }
     if (ext.size() < 2) return true;
 
-    if (ext.size() <= kMaxMatrixItems) {
-      return ProcessWithMatrix(prefix, ext, rows);
-    }
-    return ProcessWithRecount(prefix, ext, rows);
-  }
-
-  /// The root node: emits the singleton patterns, fills the root pair matrix
-  /// once (or, above the matrix limit, leaves each child to recount), then
-  /// mines the first-level children through MineFirstLevel — each child
-  /// only reads the shared matrix and rows. `c1` is F-list ascending, as a
-  /// governed frontier needs.
-  void ProcessRoot(const std::vector<Rank>& ext,
-                   const std::vector<uint64_t>& c1, const LocalRows& rows) {
-    std::vector<Rank> prefix;
-    for (size_t i = 0; i < ext.size(); ++i) {
-      prefix.push_back(ext[i]);
-      EmitPattern(prefix, c1[i]);
-      prefix.pop_back();
-    }
-    if (ext.size() < 2) return;
-
     const bool use_matrix = ext.size() <= kMaxMatrixItems;
-    PairMatrix matrix(use_matrix ? ext.size() : 2);
+    PairMatrix matrix(use_matrix ? ext.size() : 0);
     if (use_matrix) FillMatrix(&matrix, rows);
-    // Root rows and matrix stay live for the whole fan-out.
-    size_t root_bytes = 0;
-    if (run_ctx_ != nullptr) {
-      root_bytes = RowsBytes(rows);
-      if (use_matrix) {
-        root_bytes += ext.size() * (ext.size() - 1) / 2 * sizeof(uint64_t);
+    const auto mine_child = [&](TpContext* ctx, std::vector<Rank>* at,
+                                size_t i) {
+      return use_matrix ? ctx->MineMatrixChild(at, ext, matrix, rows, i)
+                        : ctx->MineRecountChild(at, ext, rows, i);
+    };
+    if (!prefix->empty()) {
+      bool completed = true;
+      for (size_t i = 0; i + 1 < ext.size(); ++i) {
+        if (run_ctx_ != nullptr && run_ctx_->ShouldStop()) {
+          completed = false;
+          break;
+        }
+        if (!mine_child(this, prefix, i)) completed = false;
       }
+      return completed;
     }
-    const ScopedBytes root_charge(run_ctx_, root_bytes);
 
-    // Children are i in [0, ext.size() - 1); child i's subtree holds the
-    // patterns whose rarest item is ext[i], supported at most c1[i].
+    // Root rows and matrix stay live for the whole fan-out. Child i's
+    // subtree holds the patterns whose rarest item is ext[i], supported at
+    // most c1[i] (F-list ascending, as a governed frontier needs).
+    const ScopedBytes root_charge(
+        run_ctx_, run_ctx_ != nullptr ? RowsBytes(rows) + matrix.Bytes() : 0);
     const std::vector<uint64_t> level_supports(c1.begin(), c1.end() - 1);
-    MineFirstLevel(
+    return MineFirstLevel(
         ThreadPool::Global(), ext.size() - 1,
         [&](MineShard* shard, size_t /*lane*/, size_t i) -> bool {
           TpContext ctx(flist_, min_support_, &shard->patterns,
                         &shard->stats);
           ctx.BindRunContext(run_ctx_);
           std::vector<Rank> sub_prefix;
-          return use_matrix
-                     ? ctx.MineMatrixChild(&sub_prefix, ext, matrix, rows, i)
-                     : ctx.MineRecountChild(&sub_prefix, ext, rows, i);
+          return mine_child(&ctx, &sub_prefix, i);
         },
         out_, stats_, run_ctx_, level_supports, /*mark_frontier=*/true);
   }
 
  private:
-  /// The signature Tree Projection step: one scan fills the pair matrix,
-  /// giving every child its extension supports without recounting.
-  /// Returns false iff a governed stop abandoned part of the subtree.
-  bool ProcessWithMatrix(std::vector<Rank>* prefix, const std::vector<Rank>& ext,
-                         const LocalRows& rows) {
-    PairMatrix matrix(ext.size());
-    FillMatrix(&matrix, rows);
-    bool completed = true;
-    for (size_t i = 0; i + 1 < ext.size(); ++i) {
-      if (run_ctx_ != nullptr && run_ctx_->ShouldStop()) {
-        completed = false;
-        break;
-      }
-      if (!MineMatrixChild(prefix, ext, matrix, rows, i)) completed = false;
-    }
-    return completed;
-  }
-
   /// One scan of `rows` accumulating every in-row pair into `matrix`.
   void FillMatrix(PairMatrix* matrix, const LocalRows& rows) {
     for (const WeightedRow& row : rows) {
@@ -235,10 +177,9 @@ class TpContext {
     return completed;
   }
 
-  /// One recount-mode child: projects rows containing ext[i], recounts the
-  /// extension supports there, and processes the child node. The per-child
-  /// body of ProcessWithRecount, exposed so the root fan-out can run
-  /// children independently above the matrix limit.
+  /// One recount-mode child, for nodes whose extension set is too large
+  /// for a matrix: projects rows containing ext[i], recounts the extension
+  /// supports there, and processes the child node.
   bool MineRecountChild(std::vector<Rank>* prefix, const std::vector<Rank>& ext,
                         const LocalRows& rows, size_t i) {
     std::vector<uint64_t> raw_counts(ext.size() - i - 1, 0);
@@ -286,22 +227,6 @@ class TpContext {
     return completed;
   }
 
-  /// Fallback for nodes whose extension set is too large for a matrix:
-  /// project per child and recount extension supports there.
-  /// Returns false iff a governed stop abandoned part of the subtree.
-  bool ProcessWithRecount(std::vector<Rank>* prefix,
-                          const std::vector<Rank>& ext, const LocalRows& rows) {
-    bool completed = true;
-    for (size_t i = 0; i + 1 < ext.size(); ++i) {
-      if (run_ctx_ != nullptr && run_ctx_->ShouldStop()) {
-        completed = false;
-        break;
-      }
-      if (!MineRecountChild(prefix, ext, rows, i)) completed = false;
-    }
-    return completed;
-  }
-
   static size_t RowsBytes(const LocalRows& rows) {
     size_t bytes = rows.size() * sizeof(WeightedRow);
     for (const WeightedRow& row : rows) {
@@ -325,46 +250,39 @@ class TpContext {
 
 }  // namespace
 
-Result<PatternSet> TreeProjectionMiner::MineImpl(const TransactionDb& db,
-                                                 uint64_t min_support) {
-  stats_.Reset();
-  GOGREEN_TRACE_SPAN("mine.tree-projection");
-  Timer timer;
+PatternSet TreeProjectionMiner::MineImpl(const TransactionDb& db,
+                                         uint64_t min_support) {
   PatternSet out;
-
   const FList flist = FList::Build(db, min_support);
   GOGREEN_VALIDATE_OR_DIE(check::ValidateFList(flist, min_support));
-  if (!flist.empty()) {
-    // Root node: extensions are all frequent items; rows are the ranked
-    // transactions themselves (local index == global rank), bucketed.
-    std::vector<Rank> ext(flist.size());
-    std::vector<uint64_t> c1(flist.size());
-    for (Rank r = 0; r < flist.size(); ++r) {
-      ext[r] = r;
-      c1[r] = flist.support(r);
-    }
+  if (flist.empty()) return out;
 
-    std::vector<std::pair<std::vector<uint32_t>, uint64_t>> raw;
-    raw.reserve(db.NumTransactions());
-    std::vector<Rank> encoded;
-    for (Tid t = 0; t < db.NumTransactions(); ++t) {
-      encoded.clear();
-      flist.AppendEncoded(db.Transaction(t), &encoded);
-      if (encoded.size() >= 2) {
-        raw.emplace_back(
-            std::vector<uint32_t>(encoded.begin(), encoded.end()), 1);
-      }
-    }
-    const LocalRows rows = Dedupe(std::move(raw));
-
-    TpContext ctx(flist, min_support, &out, &stats_);
-    ctx.BindRunContext(run_ctx_);
-    ctx.ProcessRoot(ext, c1, rows);
+  // Root node: extensions are all frequent items; rows are the ranked
+  // transactions themselves (local index == global rank), bucketed.
+  std::vector<Rank> ext(flist.size());
+  std::vector<uint64_t> c1(flist.size());
+  for (Rank r = 0; r < flist.size(); ++r) {
+    ext[r] = r;
+    c1[r] = flist.support(r);
   }
 
-  stats_.patterns_emitted = out.size();
-  stats_.elapsed_seconds = timer.ElapsedSeconds();
-  RecordMiningStats(stats_);
+  std::vector<std::pair<std::vector<uint32_t>, uint64_t>> raw;
+  raw.reserve(db.NumTransactions());
+  std::vector<Rank> encoded;
+  for (Tid t = 0; t < db.NumTransactions(); ++t) {
+    encoded.clear();
+    flist.AppendEncoded(db.Transaction(t), &encoded);
+    if (encoded.size() >= 2) {
+      raw.emplace_back(std::vector<uint32_t>(encoded.begin(), encoded.end()),
+                       1);
+    }
+  }
+  const LocalRows rows = Dedupe(std::move(raw));
+
+  TpContext ctx(flist, min_support, &out, &stats_);
+  ctx.BindRunContext(run_ctx_);
+  std::vector<Rank> prefix;
+  ctx.Process(&prefix, ext, c1, rows);
   return out;
 }
 

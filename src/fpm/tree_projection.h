@@ -6,7 +6,11 @@
 #ifndef GOGREEN_FPM_TREE_PROJECTION_H_
 #define GOGREEN_FPM_TREE_PROJECTION_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "fpm/miner.h"
+#include "util/logging.h"
 
 namespace gogreen::fpm {
 
@@ -15,8 +19,30 @@ class TreeProjectionMiner : public FrequentPatternMiner {
   std::string name() const override { return "tree-projection"; }
 
  protected:
-  Result<PatternSet> MineImpl(const TransactionDb& db,
-                              uint64_t min_support) override;
+  PatternSet MineImpl(const TransactionDb& db, uint64_t min_support) override;
+};
+
+/// Upper-triangular pair-count matrix over a node's n local items: the
+/// per-node matrix of Tree Projection, and of Recycle-TP (core/recycle_tp).
+class PairMatrix {
+ public:
+  explicit PairMatrix(size_t n) : n_(n), counts_(n * (n - 1) / 2, 0) {}
+
+  void Add(size_t i, size_t j, uint64_t w) { counts_[Index(i, j)] += w; }
+  uint64_t Get(size_t i, size_t j) const { return counts_[Index(i, j)]; }
+
+  /// Heap bytes of the counts, for budget accounting.
+  size_t Bytes() const { return counts_.size() * sizeof(uint64_t); }
+
+ private:
+  size_t Index(size_t i, size_t j) const {
+    GOGREEN_DCHECK(i < j && j < n_);
+    // Row-major upper triangle: row i starts after sum of previous rows.
+    return i * (2 * n_ - i - 1) / 2 + (j - i - 1);
+  }
+
+  size_t n_;
+  std::vector<uint64_t> counts_;
 };
 
 }  // namespace gogreen::fpm

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/compressor.h"
 #include "core/disk_recycle.h"
 #include "fpm/miner.h"
@@ -60,6 +62,23 @@ TEST(SpillTest, WriteReadRoundTrip) {
   auto again = fpm::ReadSpill(writer.PathOf(1));
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->empty());
+}
+
+TEST(SpillTest, DestructorRemovesFiles) {
+  // A writer abandoned mid-run (an IO error returns before Finish) must
+  // not leave its partitions behind.
+  std::string path1;
+  std::string path3;
+  {
+    fpm::SpillWriter writer(TempDir(), "spill_dtor_test", 4);
+    ASSERT_TRUE(writer.Append(1, std::vector<Rank>{2, 3}).ok());
+    ASSERT_TRUE(writer.Append(3, std::vector<Rank>{9}).ok());
+    path1 = writer.PathOf(1);
+    path3 = writer.PathOf(3);
+    ASSERT_TRUE(std::filesystem::exists(path1));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path1));
+  EXPECT_FALSE(std::filesystem::exists(path3));
 }
 
 TEST(MemoryModelTest, GrowsWithInput) {

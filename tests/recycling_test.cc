@@ -139,15 +139,28 @@ TEST(RecyclingTest, SameThresholdReproducesRecycledSet) {
 
 TEST(RecyclingTest, UncompressedCdbStillMinesCorrectly) {
   // A CDB produced with an empty pattern set is just the original database;
-  // the compressed miners must behave like plain miners on it.
-  const TransactionDb db = RandomDb(9, 200, 30, 5.0);
-  const CompressedDb cdb = MustCompress(db, PatternSet(),
-                                        CompressionStrategy::kMcp);
-  PatternSet expected = MustMineDirect(db, 10);
-  for (RecycleAlgo algo : kAllRecycleAlgos) {
-    SCOPED_TRACE(RecycleAlgoName(algo));
-    PatternSet got = MustMineCompressed(algo, cdb, 10);
-    EXPECT_TRUE(PatternSet::Equal(&expected, &got));
+  // the compressed miners must behave like plain miners on it, and
+  // Recycle-HM must do H-Mine's work exactly (the dense input takes
+  // H-Mine's dense switch below the root).
+  const std::pair<TransactionDb, uint64_t> inputs[] = {
+      {RandomDb(9, 200, 30, 5.0), 10}, {RandomDenseDb(91, 2000, 12, 3), 600}};
+  for (const auto& [db, minsup] : inputs) {
+    SCOPED_TRACE(minsup);
+    const CompressedDb cdb =
+        MustCompress(db, PatternSet(), CompressionStrategy::kMcp);
+    const fpm::MineRequest request = fpm::MineRequest::At(minsup);
+    auto hmine = fpm::CreateMiner(fpm::MinerKind::kHMine)->Mine(db, request);
+    ASSERT_TRUE(hmine.ok());
+    for (RecycleAlgo algo : kAllRecycleAlgos) {
+      SCOPED_TRACE(RecycleAlgoName(algo));
+      auto got = CreateCompressedMiner(algo)->Mine(cdb, request);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(PatternSet::Equal(&hmine->patterns, &got->patterns));
+      if (algo != RecycleAlgo::kHMine) continue;
+      EXPECT_EQ(got->stats.items_scanned, hmine->stats.items_scanned);
+      EXPECT_EQ(got->stats.projections_built,
+                hmine->stats.projections_built);
+    }
   }
 }
 

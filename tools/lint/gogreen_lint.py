@@ -41,8 +41,10 @@ cannot express:
                       core/constraints.h alias shim, the second and third
                       first-level fan-outs (MineFirstLevelParallel,
                       ParallelMiningEnabled, MineFirstLevelGoverned; every
-                      miner calls fpm::MineFirstLevel), and top-K mining
-                      (MineTopK, TopKOptions). One query is one
+                      miner calls fpm::MineFirstLevel), top-K mining
+                      (MineTopK, TopKOptions), and the second Mine()
+                      epilogue (FinishMine; both interfaces call
+                      fpm::RunMine). One query is one
                       fpm::MineRequest answered by Mine(…, request) or
                       serve::MiningService; governors ride in
                       MineRequest::run_context (internal helpers that bind
@@ -115,7 +117,7 @@ DEPRECATED_API_RE = re.compile(
     r"\b(?:MineGoverned|MineCompressedGoverned|SetRunContext|MineCompressed|"
     r"RecyclingSession|RecyclerOptions|MineOutcome|FinishGovernedOutcome|"
     r"MineFirstLevelParallel|ParallelMiningEnabled|MineFirstLevelGoverned|"
-    r"MineTopK|TopKOptions)\b")
+    r"MineTopK|TopKOptions|FinishMine)\b")
 DEPRECATED_INCLUDE_RE = re.compile(r'#\s*include\s*"core/constraints\.h"')
 RAW_THREAD_RE = re.compile(r"\bstd::thread\b")
 NAKED_NEW_RE = re.compile(r"\bnew\b|\bdelete\b")
@@ -343,7 +345,8 @@ def run_checks(files, registry_text, design_text=""):
         violations += scan_pattern(
             path, raw_text, "deprecated-api", DEPRECATED_API_RE,
             "deleted API name (use Mine(…, fpm::MineRequest), "
-            "serve::MiningService, fpm::MineResult and fpm::MineFirstLevel; "
+            "serve::MiningService, fpm::MineResult, fpm::RunMine and "
+            "fpm::MineFirstLevel; "
             "context-binding helpers are spelled BindRunContext)")
         violations += scan_pattern(
             path, raw_text, "deprecated-api", DEPRECATED_INCLUDE_RE,
@@ -447,6 +450,9 @@ def self_test():
          "auto top = fpm::MineTopK(db, options);\n", True),
         ("deprecated-api", "src/a.cc",
          "fpm::TopKOptions options;\n", True),
+        ("deprecated-api", "src/a.cc",
+         "return FinishMine(std::move(mined), minsup, request, stats_);\n",
+         True),
         ("deprecated-api", "src/a.cc",
          "fpm::MineFirstLevel(pool, n, mine, out, st, ctx, s, true);\n",
          False),
